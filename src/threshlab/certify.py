@@ -31,11 +31,14 @@ from functools import lru_cache
 from math import prod
 
 from .core import (
+    MAX_GROUND_SIZE,
+    FormatError,
     Hypergraph,
     ResourceLimitError,
     TrivialHypergraphError,
     VertexSet,
     iter_submasks,
+    lex_key,
     minimize,
     undercovers,
 )
@@ -122,15 +125,6 @@ class _Pool:
     by_edge: tuple[tuple[int, ...], ...]  # candidate indices per edge, largest first
 
 
-def _mask_key(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 @lru_cache(maxsize=64)
 def _pool_for(hm: Hypergraph, pool_budget: int) -> _Pool:
     masks = hm.masks
@@ -144,7 +138,7 @@ def _pool_for(hm: Hypergraph, pool_budget: int) -> _Pool:
         bit = 1 << j
         for sub in iter_submasks(m):
             covers[sub] = covers.get(sub, 0) | bit
-    cand_masks = sorted(covers, key=_mask_key)
+    cand_masks = sorted(covers, key=lex_key)
     index = {mk: i for i, mk in enumerate(cand_masks)}
     sizes = [mk.bit_count() for mk in cand_masks]
     by_edge = []
@@ -309,7 +303,7 @@ def min_cover_weight(
     finally:
         sys.setrecursionlimit(old_limit)
 
-    picks_sorted = sorted(set(best_picks), key=lambda i: _mask_key(pool.cand_masks[i]))
+    picks_sorted = sorted(set(best_picks), key=lambda i: lex_key(pool.cand_masks[i]))
     witness = tuple(VertexSet(pool.cand_masks[i]) for i in picks_sorted)
     return best_exact, witness
 
@@ -344,7 +338,7 @@ def exhaustive_min_cover_weight(
         nonlocal best, best_set
         if pos == len(choices):
             weight = sum((qf ** mk.bit_count() for mk in acc), Fraction(0))
-            key = tuple(sorted(_mask_key(mk) for mk in acc))
+            key = tuple(sorted(lex_key(mk) for mk in acc))
             if best is None or (weight, key) < best:
                 best = (weight, key)
                 best_set = acc
@@ -355,7 +349,7 @@ def exhaustive_min_cover_weight(
     rec(0, frozenset())
     assert best is not None
     witness = tuple(
-        VertexSet(mk) for mk in sorted(best_set, key=_mask_key)
+        VertexSet(mk) for mk in sorted(best_set, key=lex_key)
     )
     return best[0], witness
 
@@ -428,7 +422,7 @@ def spread_of(h: Hypergraph, *, budget: int = SPREAD_BUDGET) -> SpreadWitness:
     Minimizer comparison is exact: (m/c1)^(1/y1) < (m/c2)^(1/y2) iff
     m^y2 * c2^y1 < m^y1 * c1^y2, an integer comparison.
     """
-    distinct = sorted(set(h.masks), key=_mask_key)
+    distinct = sorted(set(h.masks), key=lex_key)
     if not any(distinct):
         raise ValueError("spread needs at least one nonempty edge")
     m = len(distinct)
@@ -445,7 +439,7 @@ def spread_of(h: Hypergraph, *, budget: int = SPREAD_BUDGET) -> SpreadWitness:
     best_y = -1
     best_c = -1
     best_mask = -1
-    for mask in sorted(counts, key=lambda mk: (mk.bit_count(), _mask_key(mk))):
+    for mask in sorted(counts, key=lambda mk: (mk.bit_count(), lex_key(mk))):
         y, c = mask.bit_count(), counts[mask]
         if best_mask < 0:
             best_y, best_c, best_mask = y, c, mask
@@ -474,12 +468,15 @@ def cover_to_json(cover: Cover) -> str:
 def cover_from_json(text: str) -> Cover:
     try:
         payload = json.loads(text)
-        edges = tuple(VertexSet.from_indices(e) for e in payload["edges"])
-        return Cover(int(payload["ground_size"]), float(payload["q"]), edges,
-                     float(payload["weight"]))
+        ground = int(payload["ground_size"])
+        members = [list(e) for e in payload["edges"]]
+        if not 0 <= ground <= MAX_GROUND_SIZE or not all(
+            0 <= v < MAX_GROUND_SIZE for e in members for v in e
+        ):
+            raise ValueError(f"ground size or member index outside the limit {MAX_GROUND_SIZE}")
+        edges = tuple(VertexSet.from_indices(e) for e in members)
+        return Cover(ground, float(payload["q"]), edges, float(payload["weight"]))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        from .core import FormatError
-
         raise FormatError(f"bad certificate: {exc}") from exc
 
 
@@ -510,6 +507,12 @@ def validate_cover(
         )
     if not 0.0 < cover.q <= 1.0:
         reasons.append(f"q={cover.q} outside (0, 1]")
+    for r in cover.edges:
+        if r.mask.bit_length() > h.ground_size:
+            reasons.append(
+                f"member {{{', '.join(map(str, r))}}} outside ground set "
+                f"of size {h.ground_size}"
+            )
     if reasons:
         return False, reasons
     g = cover.as_hypergraph()

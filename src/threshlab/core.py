@@ -43,6 +43,11 @@ __all__ = [
     "write_hypergraph",
 ]
 
+# Largest ground size the text and certificate readers accept.  They check it
+# before building any mask, so a one-line input cannot ask for gigabytes; it
+# is far above the 10 000 vertices of the largest family the suite builds.
+MAX_GROUND_SIZE = 1 << 20
+
 
 class ThreshlabError(Exception):
     """Base class for errors raised by this package."""
@@ -63,6 +68,21 @@ class TrivialHypergraphError(ThreshlabError):
     is q^0 = 1 > 1/2, so no q in (0, 1) makes such a hypergraph small.  By
     convention its smallness threshold is reported as 0.
     """
+
+
+def lex_key(mask: int) -> tuple[int, ...]:
+    """The ascending index tuple of a mask.
+
+    Comparing these tuples is the lexicographic order behind every
+    deterministic tie break in this package: sorted edge lists, the edge a
+    fragment is charged to, witnesses and the canonical form of `minimize`.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -89,14 +109,10 @@ class VertexSet:
         return cls((1 << ground_size) - 1)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(self)
+        return lex_key(self.mask)
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return iter(lex_key(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -123,21 +139,11 @@ class VertexSet:
         return self.mask & other.mask == 0
 
     def key(self) -> tuple[int, ...]:
-        """Sort key: the ascending index tuple, the lexicographic order used
-        for every deterministic tie break in this package."""
-        return tuple(self)
+        """Sort key in the package's lexicographic order; see `lex_key`."""
+        return lex_key(self.mask)
 
     def __repr__(self) -> str:
         return "VertexSet{" + ",".join(str(v) for v in self) + "}"
-
-
-def _mask_key(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -150,9 +156,8 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.ground_size < 0:
             raise ValueError("ground size must be non-negative")
-        limit = 1 << self.ground_size
         for e in self.edges:
-            if e.mask >= limit:
+            if e.mask.bit_length() > self.ground_size:
                 raise ValueError(
                     f"edge {e!r} does not fit in ground set of size {self.ground_size}"
                 )
@@ -170,6 +175,25 @@ class Hypergraph:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         return tuple(e.mask for e in self.edges)
+
+    @cached_property
+    def _minimized(self) -> "Hypergraph":
+        # The canonical form behind `minimize`, built once per object.
+        unique = sorted(set(self.masks), key=int.bit_count)
+        kept: list[int] = []
+        smaller: list[int] = []
+        prev_size = -1
+        for m in unique:
+            size = m.bit_count()
+            if size != prev_size:
+                smaller = list(kept)
+                prev_size = size
+            if not any(k & ~m == 0 for k in smaller):
+                kept.append(m)
+        kept.sort(key=lex_key)
+        hm = Hypergraph.from_masks(self.ground_size, kept)
+        hm.__dict__["_minimized"] = hm  # a canonical form is its own
+        return hm
 
     @property
     def edge_count(self) -> int:
@@ -222,20 +246,11 @@ def minimize(h: Hypergraph) -> Hypergraph:
     equal size cannot strictly contain one another, so each edge is tested
     only against the strictly smaller kept ones; uniform families need no
     containment tests at all.
+
+    The result is computed once per hypergraph object and returned again on
+    later calls; it is its own canonical form, so minimizing it returns it.
     """
-    unique = sorted(set(h.masks), key=lambda m: (m.bit_count(), _mask_key(m)))
-    kept: list[int] = []
-    smaller: list[int] = []
-    prev_size = -1
-    for m in unique:
-        size = m.bit_count()
-        if size != prev_size:
-            smaller = list(kept)
-            prev_size = size
-        if not any(k & ~m == 0 for k in smaller):
-            kept.append(m)
-    kept.sort(key=_mask_key)
-    return Hypergraph.from_masks(h.ground_size, kept)
+    return h._minimized
 
 
 def restrict(h: Hypergraph, w: VertexSet) -> Hypergraph:
@@ -255,12 +270,9 @@ def restrict(h: Hypergraph, w: VertexSet) -> Hypergraph:
     wm = w.mask
     new_edges = []
     for m in h.masks:
-        rem = m & ~wm
         nm = 0
-        while rem:
-            low = rem & -rem
-            nm |= 1 << new_index[low.bit_length() - 1]
-            rem ^= low
+        for v in lex_key(m & ~wm):
+            nm |= 1 << new_index[v]
         new_edges.append(nm)
     return Hypergraph.from_masks(len(survivors), new_edges)
 
@@ -374,6 +386,10 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 raise FormatError(f"line {lineno}: ground size is not an integer") from None
             if ground < 0:
                 raise FormatError(f"line {lineno}: ground size must be non-negative")
+            if ground > MAX_GROUND_SIZE:
+                raise FormatError(
+                    f"line {lineno}: ground size {ground} exceeds the limit {MAX_GROUND_SIZE}"
+                )
             continue
         if tokens == ["-"]:
             edges.append(0)
@@ -398,7 +414,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
 def format_hypergraph(h: Hypergraph) -> str:
     lines = [f"n {h.ground_size}"]
     for m in h.masks:
-        lines.append(" ".join(str(v) for v in _mask_key(m)) if m else "-")
+        lines.append(" ".join(map(str, lex_key(m))) if m else "-")
     return "\n".join(lines) + "\n"
 
 

@@ -40,7 +40,7 @@ from .core import (
     minimize,
     sample_uniform_of_size,
 )
-from .process import FRAGMENT_BUDGET, _validate_factor, halving_round, round_sample_size
+from .process import FRAGMENT_BUDGET, _fragment_all, _validate_factor, round_sample_size
 
 __all__ = [
     "Z95",
@@ -468,10 +468,10 @@ def fragment_weight_samples(
     out = np.zeros((trials, ell))
     for j in range(trials):
         w = sample_uniform_of_size(n, m, rng.substream(j))
-        collapse, frags = halving_round(hm, w, budget=budget)
+        collapse, frags = _fragment_all(hm.masks, w.mask, budget)
         if collapse is not None:
             continue
-        for fm in {f.mask for f in frags if f.mask}:
+        for fm in {f for f in frags if f}:
             t = fm.bit_count()
             out[j, t - 1] += q**t
     return out

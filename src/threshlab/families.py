@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .core import Hypergraph, Rng, VertexSet
+from .core import Hypergraph, Rng, lex_key
 
 __all__ = [
     "singletons",
@@ -144,7 +144,7 @@ def random_uniform(n: int, k: int, m: int, seed: int) -> Hypergraph:
         for v in idx:
             mask |= 1 << int(v)
         seen.add(mask)
-    ordered = sorted(seen, key=lambda mk: VertexSet(mk).key())
+    ordered = sorted(seen, key=lex_key)
     return Hypergraph.from_masks(n, ordered)
 
 

@@ -51,6 +51,7 @@ from .core import (
     Rng,
     contains_edge,
     iter_submasks,
+    lex_key,
     minimize,
     sample_bernoulli,
     sample_uniform_of_size,
@@ -59,7 +60,6 @@ from .core import (
 
 __all__ = [
     "ProcessInvariantError",
-    "LexTiebreaker",
     "fragment",
     "lex_contained_edge",
     "halving_round",
@@ -86,24 +86,11 @@ class ProcessInvariantError(ThreshlabError):
     """A theory-guaranteed process invariant failed; this is a bug."""
 
 
-class LexTiebreaker:
-    """Break argmin ties toward the lexicographically least edge."""
-
-    def pick(self, candidates: Sequence[VertexSet]) -> VertexSet:
-        return min(candidates, key=lambda e: e.key())
-
-
-def fragment(
-    h: Hypergraph,
-    w: VertexSet,
-    s: VertexSet,
-    *,
-    tiebreaker: LexTiebreaker | None = None,
-) -> tuple[VertexSet, VertexSet]:
+def fragment(h: Hypergraph, w: VertexSet, s: VertexSet) -> tuple[VertexSet, VertexSet]:
     """The fragment of edge s under w, together with the minimizing edge.
 
     s must be an edge of h; the edge s itself fits inside w | s, so a
-    minimizer always exists.
+    minimizer always exists.  Ties go to the lexicographically least edge.
     """
     if s.mask not in h.masks:
         raise ValueError("s must be an edge of h")
@@ -118,17 +105,14 @@ def fragment(
             best_size, ties = r, [e]
         elif r == best_size:
             ties.append(e)
-    chosen = (tiebreaker or LexTiebreaker()).pick(ties)
+    chosen = min(ties, key=VertexSet.key)
     return chosen - w, chosen
 
 
 def lex_contained_edge(h: Hypergraph, y: VertexSet) -> VertexSet:
     """The lexicographically least edge of h inside y; the canonical
     deterministic selector on the upward closure."""
-    best: VertexSet | None = None
-    for e in h.edges:
-        if e.issubset(y) and (best is None or e.key() < best.key()):
-            best = e
+    best = min((e for e in h.edges if e.issubset(y)), key=VertexSet.key, default=None)
     if best is None:
         raise ValueError("y contains no edge of h")
     return best
@@ -164,48 +148,40 @@ def tiebreaker_recovers_fragment(
 # bulk fragment computation
 
 
-def _mask_key(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def _fragment_all(
-    edge_masks: Sequence[int], w_mask: int, budget: int
+    lex_edges: Sequence[int], w_mask: int, budget: int
 ) -> tuple[int | None, list[int]]:
     """Fragments of every edge under w, or the collapse edge if one exists.
 
-    Returns (collapse_edge_mask, fragments).  When collapse_edge_mask is not
+    lex_edges are distinct edge masks in lex order, as the canonical form
+    and every process round keep them; the fragments line up with them.
+    Returns (collapse_edge_mask, fragments); when collapse_edge_mask is not
     None every fragment is empty and the list is left empty.
+
+    A residual is owned by the first edge in lex_edges with that residual,
+    and a fragment is the residual minimizing (size, owner rank), encoded
+    as the one integer size * len(lex_edges) + rank.
     """
-    residual_best: dict[int, int] = {}
-    for m in edge_masks:
+    order: dict[int, int] = {}
+    for rank, m in enumerate(lex_edges):
         r = m & ~w_mask
-        prev = residual_best.get(r)
-        if prev is None or _mask_key(m) < _mask_key(prev):
-            residual_best[r] = m
-    if 0 in residual_best:
-        return residual_best[0], []
-    cost = sum(1 << r.bit_count() for r in residual_best)
+        order.setdefault(r, r.bit_count() * len(lex_edges) + rank)
+    if 0 in order:
+        return lex_edges[order[0]], []
+    cost = sum(1 << r.bit_count() for r in order)
     if cost > budget:
         raise ResourceLimitError(
             f"fragment round needs {cost} submask visits, budget is {budget}"
         )
     frags: list[int] = []
-    for m in edge_masks:
-        r = m & ~w_mask
-        best = None  # (residual size, edge key, residual)
+    for m in lex_edges:
+        best = r = m & ~w_mask
+        best_order = order[r]
         for sub in iter_submasks(r):
-            owner = residual_best.get(sub)
-            if owner is None:
-                continue
-            entry = (sub.bit_count(), _mask_key(owner), sub)
-            if best is None or entry < best:
-                best = entry
-        frags.append(best[2])
+            k = order.get(sub)
+            if k is not None and k < best_order:
+                best, best_order = sub, k
+        frags.append(best)
     return None, frags
 
 
@@ -219,10 +195,12 @@ def halving_round(
     fragments are empty and an empty tuple is returned; otherwise fragments
     line up with h.edges.
     """
-    collapse, frags = _fragment_all(h.masks, w.mask, budget)
+    lex_edges = sorted(set(h.masks), key=lex_key)
+    collapse, frags = _fragment_all(lex_edges, w.mask, budget)
     if collapse is not None:
         return VertexSet(collapse), ()
-    return None, tuple(VertexSet(f) for f in frags)
+    frag_of = dict(zip(lex_edges, frags))
+    return None, tuple(VertexSet(frag_of[m]) for m in h.masks)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +269,7 @@ def _finish_trace(
     successes: int,
 ) -> ProcessTrace:
     tw = VertexSet(total_w)
-    u_edges = tuple(VertexSet(m) for m in sorted(u_masks, key=_mask_key))
+    u_edges = tuple(VertexSet(m) for m in sorted(u_masks, key=lex_key))
     u_weight = float(cover_weight(u_edges, q)) if u_edges else 0.0
     contained = contains_edge(horig, tw)
     u_under = undercovers(Hypergraph(horig.ground_size, u_edges), horig)
@@ -355,9 +333,10 @@ def _validate_factor(ell_factor: float) -> None:
         raise ValueError("the sampling factor L must exceed 1")
 
 
-def _sample_round_w(active_mask: int, m: int, rng: Rng) -> int:
-    active = _mask_key(active_mask)
-    picked = sample_uniform_of_size(len(active), m, rng)
+def _lift_sample(active_mask: int, picked: VertexSet) -> int:
+    """Map a sample of positions among the active vertices, drawn on a
+    ground of size active_mask.bit_count(), onto those vertices."""
+    active = lex_key(active_mask)
     w = 0
     for i in picked:
         w |= 1 << active[i]
@@ -405,7 +384,7 @@ def run_halving(
             break
         n_rem = active.bit_count()
         m = round_sample_size(ell_factor, q, n_rem)
-        w = _sample_round_w(active, m, rng.substream(i))
+        w = _lift_sample(active, sample_uniform_of_size(n_rem, m, rng.substream(i)))
         total_w |= w
         active &= ~w
         collapse, frags = _fragment_all(cur, w, budget)
@@ -420,8 +399,8 @@ def run_halving(
             )
             break
         half = ell // 2
-        exiled = sorted({f for f in frags if f.bit_count() > half}, key=_mask_key)
-        survivors = sorted({f for f in frags if f.bit_count() <= half}, key=_mask_key)
+        exiled = sorted({f for f in frags if f.bit_count() > half}, key=lex_key)
+        survivors = sorted({f for f in frags if f.bit_count() <= half}, key=lex_key)
         for f in frags:
             if f.bit_count() > ell:
                 raise ProcessInvariantError("fragment exceeds the round size bound")
@@ -557,7 +536,7 @@ def run_retry(
             ell //= 2
             continue
         m = round_sample_size(ell_factor, q, n_rem)
-        w = _sample_round_w(active, m, rng.substream(i))
+        w = _lift_sample(active, sample_uniform_of_size(n_rem, m, rng.substream(i)))
         total_w |= w
         active &= ~w
         collapse, frags = _fragment_all(cur, w, budget)
@@ -581,7 +560,7 @@ def run_retry(
             ell //= 2
             continue
         half = ell // 2
-        exiled = sorted({f for f in frags if f.bit_count() > half}, key=_mask_key)
+        exiled = sorted({f for f in frags if f.bit_count() > half}, key=lex_key)
         ex_sets = tuple(VertexSet(f) for f in exiled)
         ex_weight = cover_weight(ex_sets, q) if ex_sets else Fraction(0)
         thr = retry_round_threshold(ell, ell_factor)
@@ -590,7 +569,7 @@ def run_retry(
             u_masks.update(exiled)
             threshold_sum += thr
             survivors = sorted(
-                {f for f in frags if f.bit_count() <= half}, key=_mask_key
+                {f for f in frags if f.bit_count() <= half}, key=lex_key
             )
             rounds.append(
                 RoundRecord(
@@ -608,9 +587,9 @@ def run_retry(
             # The heavy would-be exile family is recorded (weights) but kept
             # in play: nothing joins U on failure.
             if failure_mode == "fragment":
-                kept = sorted(set(frags), key=_mask_key)
+                kept = sorted(set(frags), key=lex_key)
             else:
-                kept = sorted({mk & ~w for mk in cur}, key=_mask_key)
+                kept = sorted({mk & ~w for mk in cur}, key=lex_key)
             rounds.append(
                 RoundRecord(
                     i, ell, n_rem, VertexSet(w), (),
@@ -698,27 +677,20 @@ def run_restart(
     found = False
     found_edge: VertexSet | None = None
     for i in range(1, planned + 1):
-        active_list = _mask_key(active)
-        draw = sample_bernoulli(len(active_list), p, rng.substream(i))
-        w = 0
-        for j in draw:
-            w |= 1 << active_list[j]
+        n_rem = active.bit_count()
+        w = _lift_sample(active, sample_bernoulli(n_rem, p, rng.substream(i)))
         total_w |= w
         active &= ~w
         hit = contains_edge(hd, VertexSet(total_w))
         rounds.append(
             RoundRecord(
-                i, ell_start, len(active_list), VertexSet(w), (), 0.0,
+                i, ell_start, n_rem, VertexSet(w), (), 0.0,
                 "found" if hit else "miss",
             )
         )
         if hit:
             found = True
-            tw = total_w
-            found_edge = min(
-                (e for e in hd.edges if e.mask & ~tw == 0),
-                key=lambda e: e.key(),
-            )
+            found_edge = lex_contained_edge(hd, VertexSet(total_w))
             break
     trace = _finish_trace(
         variant="restart",

@@ -6,6 +6,7 @@ program over covered-edge states defined in this file.  The branch and
 bound, the assignment enumerator, and the DP must all agree exactly.
 """
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -404,6 +405,14 @@ def test_cover_from_json_rejects_garbage():
             cover_from_json(text)
 
 
+def test_cover_from_json_caps_sizes_before_building_masks():
+    doc = {"ground_size": 4, "q": 0.5, "weight": 0.25, "edges": [[0, 1]]}
+    for bad in ({"ground_size": 10**12}, {"ground_size": -1},
+                {"edges": [[0, 10**12]]}, {"edges": [[-1]]}):
+        with pytest.raises(FormatError):
+            cover_from_json(json.dumps({**doc, **bad}))
+
+
 def test_validate_cover_accepts_the_real_thing():
     h = triangles(4)
     ok, reasons = validate_cover(h, make_cover(h, 0.5))
@@ -425,6 +434,12 @@ def test_validate_cover_rejects_tampering():
 
     ok, reasons = validate_cover(h, replace(cover, q=0.0))
     assert not ok
+
+    outside = VertexSet.from_indices([1, h.ground_size])
+    ok, reasons = validate_cover(h, replace(cover, edges=cover.edges + (outside,)))
+    assert not ok
+    assert reasons == [f"member {{1, {h.ground_size}}} outside ground set of size "
+                       f"{h.ground_size}"]
 
 
 def test_validate_cover_rejects_heavy_cover():

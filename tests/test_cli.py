@@ -96,6 +96,31 @@ def test_tampered_certificate_rejected(triangles4, tmp_path, capsys):
     assert "differs from recomputed" in out
 
 
+def test_certificate_member_outside_ground_set_is_a_fail(triangles4, tmp_path, capsys):
+    cert = tmp_path / "cover.json"
+    run(capsys, "qsmall", triangles4, "--q", "0.5", "--cert", str(cert))
+    doc = json.loads(cert.read_text())
+    doc["edges"].append([0, 6])
+    cert.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check-cert", triangles4, str(cert))
+    assert code == 1
+    assert "FAIL certificate rejected" in out
+    assert "member {0, 6} outside ground set of size 6" in out
+
+
+def test_oversized_inputs_are_format_errors(triangles4, tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("n 10000000000\n")
+    code, _, err = run(capsys, "qsmall", str(huge))
+    assert code == 2 and "exceeds the limit" in err
+    cert = tmp_path / "cover.json"
+    cert.write_text(json.dumps(
+        {"ground_size": 10**12, "q": 0.5, "weight": 0.5, "edges": [[10**12 - 1]]}
+    ))
+    code, _, err = run(capsys, "check-cert", triangles4, str(cert))
+    assert code == 2 and "bad certificate" in err
+
+
 def test_spread_output(triangles4, capsys):
     code, out, _ = run(capsys, "spread", triangles4)
     assert code == 0

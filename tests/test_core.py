@@ -3,6 +3,7 @@
 import pytest
 
 from threshlab.core import (
+    MAX_GROUND_SIZE,
     FormatError,
     Hypergraph,
     Rng,
@@ -102,6 +103,12 @@ def test_hypergraph_rejects_oversized_edge():
         Hypergraph(-1)
 
 
+def test_hypergraph_fit_check_allocates_no_ground_mask():
+    # the fit is checked by bit length, never by building 1 << ground_size
+    h = Hypergraph(10**12, (vs(0, 5),))
+    assert h.max_edge_size() == 2
+
+
 def test_max_edge_size_needs_an_edge():
     with pytest.raises(ValueError):
         Hypergraph(3).max_edge_size()
@@ -171,6 +178,11 @@ def test_minimize_fixes_antichains():
     h = hg(2, (0,), (1,))
     assert minimize(h) == h
     assert minimize(minimize(h)) == minimize(h)
+    assert minimize(h) is minimize(h)
+    assert minimize(minimize(h)) is minimize(h)
+    fat = hg(3, (1, 2), (0,), (0, 2), (1, 2))
+    assert minimize(fat) is minimize(fat)
+    assert minimize(minimize(fat)) is minimize(fat)
 
 
 def test_minimize_sorts_lexicographically():
@@ -366,6 +378,13 @@ def test_parse_errors():
         parse_hypergraph("n 3\n0 one\n")
     with pytest.raises(FormatError):
         parse_hypergraph("n 3\n0 3\n")  # vertex out of range
+
+
+def test_parse_caps_the_ground_size_before_building_masks():
+    assert parse_hypergraph(f"n {MAX_GROUND_SIZE}\n0\n").ground_size == MAX_GROUND_SIZE
+    for n in (MAX_GROUND_SIZE + 1, 10**10, 10**12):
+        with pytest.raises(FormatError, match="exceeds the limit"):
+            parse_hypergraph(f"n {n}\n{n - 1}\n")
 
 
 def test_read_write_files(tmp_path):

@@ -158,22 +158,24 @@ def test_recovery_rejects_cheating_chooser():
 # halving_round vs the per-edge operator
 
 
-def test_halving_round_matches_per_edge_fragment():
-    h = hg(6, (0, 1, 2), (2, 3), (3, 4, 5), (1, 4))
-    for w_mask in range(0, 1 << 6, 5):  # a spread of W values
-        w = VertexSet(w_mask)
-        collapse, frags = halving_round(h, w)
-        if collapse is not None:
-            assert collapse.issubset(w)
-            assert frags == ()
-            for s in h.edges:
-                t, chosen = fragment(h, w, s)
-                assert t == VertexSet()
-                assert chosen == collapse  # lex-least empty-residual edge
-        else:
-            assert len(frags) == h.edge_count
-            for s, f in zip(h.edges, frags):
-                assert fragment(h, w, s)[0] == f
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_halving_round_matches_per_edge_fragment(data):
+    # edges in any order, duplicates and the empty edge included
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    h = Hypergraph.from_masks(n, data.draw(st.permutations(masks)))
+    w = VertexSet(data.draw(st.integers(0, (1 << n) - 1)))
+    collapse, frags = halving_round(h, w)
+    if collapse is not None:
+        assert frags == ()
+        assert collapse == lex_contained_edge(h, w)
+        for s in h.edges:
+            t, chosen = fragment(h, w, s)
+            assert t == VertexSet()
+            assert chosen == collapse  # lex-least empty-residual edge
+    else:
+        assert frags == tuple(fragment(h, w, s)[0] for s in h.edges)
 
 
 def test_halving_round_collapse_edge_is_lex_least():
