@@ -24,7 +24,6 @@ some edge), hence is such a union, so the enumeration sees every optimum.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +36,7 @@ from .core import (
     ResourceLimitError,
     TrivialHypergraphError,
     VertexSet,
+    _bounded_masks,
     iter_submasks,
     lex_key,
     minimize,
@@ -262,7 +262,10 @@ def min_cover_weight(
 
     chosen: list[int] = []
 
-    def dfs(covered: int, partial_f: float) -> None:
+    def visit(covered: int, partial_f: float) -> tuple[int, ...]:
+        """Count and bound the node reached by `chosen`; return the
+        candidates to branch on in search order, none if it is complete or
+        pruned."""
         nonlocal nodes, best_picks, best_exact, best_float
         nodes += 1
         if nodes > node_budget:
@@ -273,14 +276,14 @@ def min_cover_weight(
             ex = exact_of(chosen)
             if ex < best_exact:
                 best_picks, best_exact, best_float = list(chosen), ex, float(ex)
-            return
+            return ()
         lb = lower_bound(covered, partial_f)
         if lb > best_float + _GUARD:
-            return
+            return ()
         if lb >= best_float - _GUARD:
             # Too close to call in floats; decide exactly.
             if lower_bound_exact(covered, exact_of(chosen)) >= best_exact:
-                return
+                return ()
         # Branch on the uncovered edge with the fewest candidates.
         branch = -1
         branch_n = -1
@@ -291,17 +294,24 @@ def min_cover_weight(
             rem ^= low
             if branch < 0 or edge_cand_count[j] < branch_n:
                 branch, branch_n = j, edge_cand_count[j]
-        for i in pool.by_edge[branch]:
-            chosen.append(i)
-            dfs(covered | pool.cand_covers[i], partial_f + w_float[pool.cand_sizes[i]])
-            chosen.pop()
+        return pool.by_edge[branch]
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, edge_count + 200))
-    try:
-        dfs(0, 0.0)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    # Depth-first with an explicit stack, one frame per node on the current
+    # path (so len(stack) == len(chosen) + 1): each frame holds the node's
+    # coverage, its float weight and an iterator over its untried children.
+    stack = [(0, 0.0, iter(visit(0, 0.0)))]
+    while stack:
+        covered, partial_f, children = stack[-1]
+        i = next(children, None)
+        if i is None:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        chosen.append(i)
+        child = covered | pool.cand_covers[i]
+        child_f = partial_f + w_float[pool.cand_sizes[i]]
+        stack.append((child, child_f, iter(visit(child, child_f))))
 
     picks_sorted = sorted(set(best_picks), key=lambda i: lex_key(pool.cand_masks[i]))
     witness = tuple(VertexSet(pool.cand_masks[i]) for i in picks_sorted)
@@ -474,7 +484,7 @@ def cover_from_json(text: str) -> Cover:
             0 <= v < MAX_GROUND_SIZE for e in members for v in e
         ):
             raise ValueError(f"ground size or member index outside the limit {MAX_GROUND_SIZE}")
-        edges = tuple(VertexSet.from_indices(e) for e in members)
+        edges = tuple(VertexSet(m) for m in _bounded_masks(members))
         return Cover(ground, float(payload["q"]), edges, float(payload["weight"]))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad certificate: {exc}") from exc

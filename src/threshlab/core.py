@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +47,12 @@ __all__ = [
 # before building any mask, so a one-line input cannot ask for gigabytes; it
 # is far above the 10 000 vertices of the largest family the suite builds.
 MAX_GROUND_SIZE = 1 << 20
+
+# Largest total of mask bit lengths the readers build from one input.  Inside
+# the ground-size cap each line naming a vertex near 2^20 is its own 128 KiB
+# int, so without a total a 1 MB file could ask for gigabytes.  2^28 bits is
+# 32 MiB, ten times the 25 005 000 bits of `gen sunflower 0 5000 2`.
+MAX_INPUT_BITS = 1 << 28
 
 
 class ThreshlabError(Exception):
@@ -369,9 +375,27 @@ def sample_uniform_of_size(ground_size: int, m: int, rng: Rng) -> VertexSet:
 # order), so parse(format(h)) == h including duplicates and edge order.
 
 
+def _bounded_masks(index_lists: Iterable[Sequence[int]]) -> Iterator[int]:
+    """The masks of in-range index lists, refusing oversized input.
+
+    Keeps a running sum of each list's bit length (largest index plus one)
+    and raises FormatError before building the mask that takes the sum past
+    MAX_INPUT_BITS.
+    """
+    total = 0
+    for indices in index_lists:
+        total += max(indices, default=-1) + 1
+        if total > MAX_INPUT_BITS:
+            raise FormatError(f"masks need more than {MAX_INPUT_BITS} bits in total")
+        mask = 0
+        for v in indices:
+            mask |= 1 << v
+        yield mask
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     ground: int | None = None
-    edges: list[int] = []
+    edges: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -392,9 +416,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 )
             continue
         if tokens == ["-"]:
-            edges.append(0)
+            edges.append([])
             continue
-        mask = 0
+        indices = []
         for tok in tokens:
             try:
                 v = int(tok)
@@ -404,11 +428,11 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 raise FormatError(
                     f"line {lineno}: vertex {v} outside ground set of size {ground}"
                 )
-            mask |= 1 << v
-        edges.append(mask)
+            indices.append(v)
+        edges.append(indices)
     if ground is None:
         raise FormatError("missing header line 'n <ground_size>'")
-    return Hypergraph.from_masks(ground, edges)
+    return Hypergraph.from_masks(ground, _bounded_masks(edges))
 
 
 def format_hypergraph(h: Hypergraph) -> str:

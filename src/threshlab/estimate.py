@@ -66,6 +66,11 @@ __all__ = [
 Z95 = 1.959963984540054
 EXACT_GROUND_LIMIT = 24
 _MC_BLOCK = 256
+# Largest edge count inclusion-exclusion takes on: 2^16 subset terms.
+_INCLEXCL_EDGE_LIMIT = 16
+# Bisection steps of the Monte Carlo threshold search; 2^-40 is far below
+# any interval its trials can resolve.
+_MC_MAX_STEPS = 40
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -192,15 +197,13 @@ def containment_probability(h: Hypergraph, p: float) -> float:
     return min(1.0, max(0.0, fsum(terms)))
 
 
-def inclusion_exclusion_probability(
-    h: Hypergraph, p: float, *, max_edges: int = 16
-) -> float:
+def inclusion_exclusion_probability(h: Hypergraph, p: float) -> float:
     """Containment probability by inclusion-exclusion over edge subsets.
 
     Sums (-1)^(|T|+1) p^|union of T| over nonempty subsets T of the distinct
-    edges.  Exponential in the edge count, so it refuses more than
-    `max_edges` edges; meant as an independent cross-check for the counting
-    route, which shares no code with it.
+    edges.  Exponential in the edge count, so it refuses more than 16 edges;
+    meant as an independent cross-check for the counting route, which shares
+    no code with it.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("inclusion probability must lie in [0, 1]")
@@ -208,9 +211,10 @@ def inclusion_exclusion_probability(
     m = len(distinct)
     if m == 0:
         return 0.0
-    if m > max_edges:
+    if m > _INCLEXCL_EDGE_LIMIT:
         raise ResourceLimitError(
-            f"inclusion-exclusion over {m} edges exceeds the {max_edges}-edge limit"
+            f"inclusion-exclusion over {m} edges exceeds the "
+            f"{_INCLEXCL_EDGE_LIMIT}-edge limit"
         )
     union = [0] * (1 << m)
     for t in range(1, 1 << m):
@@ -306,7 +310,6 @@ def mc_critical_probability(
     trials: int = 4096,
     tol: float = 1e-2,
     decision_z: float = 3.5,
-    max_steps: int = 40,
 ) -> ThresholdEstimate:
     """Bisection for the threshold driven by Monte Carlo estimates.
 
@@ -321,7 +324,7 @@ def mc_critical_probability(
         return ThresholdEstimate(0.0, 0.0, 0.0, 0, rng.seed)
     lo, hi = 0.0, 1.0
     used = 0
-    for step in range(max_steps):
+    for step in range(_MC_MAX_STEPS):
         if hi - lo <= tol:
             break
         mid = (lo + hi) / 2.0
@@ -443,7 +446,6 @@ def fragment_weight_samples(
     *,
     trials: int = 10_000,
     ell_factor: float = 8.0,
-    budget: int = FRAGMENT_BUDGET,
 ) -> np.ndarray:
     """Per-draw fragment weight, split by fragment size.
 
@@ -468,7 +470,7 @@ def fragment_weight_samples(
     out = np.zeros((trials, ell))
     for j in range(trials):
         w = sample_uniform_of_size(n, m, rng.substream(j))
-        collapse, frags = _fragment_all(hm.masks, w.mask, budget)
+        collapse, frags = _fragment_all(hm.masks, w.mask, FRAGMENT_BUDGET)
         if collapse is not None:
             continue
         for fm in {f for f in frags if f}:

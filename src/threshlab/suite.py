@@ -14,11 +14,16 @@ sunflowers exercise the processes and the Monte Carlo route.  The one random
 instance, random-12-3-20, is built from a hard-coded seed so the matrix does
 not move with the run seed.
 
-Determinism: work item j of criterion c draws from Rng(seed, (c, ..., j)).
-Exact per-instance quantities (largest small q, exact threshold, spread) are
-cached across reruns; every sampled quantity is recomputed from its
-substream, so rerunning at another worker count genuinely replays the
-parallel paths and must reproduce the records byte for byte.
+Determinism: criteria 5 to 9 run grids of cells times blocks of 500 runs.
+A cell holds indices into the criterion's instance (and eps) lists, and
+criterion c draws from Rng(seed, (c, *cell)): run j of the cell draws
+substream(j), but criterion 5 draws substream(b) for block b and criterion
+6 has the one empty cell.  Criterion 8's high-probability checks draw
+Rng(seed, (8, 100 + k)).  Exact per-instance quantities (largest small q,
+exact threshold, spread) are cached across reruns; every sampled quantity is
+recomputed from its substream, so rerunning at another worker count
+genuinely replays the parallel paths and must reproduce the records byte
+for byte.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod, sqrt
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -69,7 +74,6 @@ from .process import fragment, run_halving, run_restart, run_retry, tiebreaker_r
 __all__ = [
     "DEFAULT_SEED",
     "DESK_INSTANCES",
-    "PROCESS_INSTANCES",
     "SuiteResult",
     "get_instance",
     "q_star",
@@ -99,13 +103,6 @@ DESK_INSTANCES = (
     "matchings-6",
     "cliques-5-4",
     "random-12-3-20",
-)
-
-# too large for exact thresholds; used by the process and sampling checks
-PROCESS_INSTANCES = (
-    "sunflower-0-50-2",
-    "sunflower-0-200-2",
-    "sunflower-0-5000-2",
 )
 
 Q_FRAG = 1.0 / 16.0
@@ -184,6 +181,36 @@ def _sigma3(p: float, n: int) -> float:
     return 3.0 * sqrt(p * (1.0 - p) / n)
 
 
+def _q_above(name: str) -> float:
+    """The q the process criteria run at: just above the largest small q."""
+    return q_star(name) * (1.0 + 1e-6)
+
+
+def _run_block(item: tuple) -> object:
+    work, rng, cell, b = item
+    return work(rng, cell, b)
+
+
+def _grid(
+    ctx: _Ctx, crit: int, work: Callable, cells: Sequence[tuple], runs: int
+) -> list[list]:
+    """Run `runs` trials of every cell in blocks of _BLOCK.
+
+    Block b of a cell is work(Rng(seed, (crit, *cell)), cell, b).  Every
+    block of every cell goes through one parallel_map call as a plain,
+    picklable item, so `work` must be a module-level function.  Returns
+    each cell's block results in block order, cells in the given order.
+    """
+    blocks = runs // _BLOCK
+    items = [
+        (work, Rng(ctx.seed, (crit, *cell)), cell, b)
+        for cell in cells
+        for b in range(blocks)
+    ]
+    res = iter(parallel_map(_run_block, items, workers=ctx.workers))
+    return [[next(res) for _ in range(blocks)] for _ in cells]
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -193,47 +220,45 @@ def criterion_01(ctx: _Ctx) -> list[CheckReport]:
     return [constant_check()]
 
 
+def _singleton_checks(k: int) -> list[CheckReport]:
+    name = f"singletons-{k}"
+    qv, pv = q_star(name), pc_exact(name)
+    q_expect = 1.0 / (2.0 * k)
+    p_expect = 1.0 - 2.0 ** (-1.0 / k)
+    return [
+        CheckReport(name, "singleton_q", qv, q_expect, 1e-9,
+                    abs(qv - q_expect) <= 1e-9),
+        CheckReport(name, "singleton_pc", pv, p_expect, 1e-9,
+                    abs(pv - p_expect) <= 1e-9),
+    ]
+
+
 def criterion_02(ctx: _Ctx) -> list[CheckReport]:
     """Singleton families against their closed forms, k = 1..8."""
+    pairs = parallel_map(_singleton_checks, range(1, 9), workers=ctx.workers)
+    return [r for pair in pairs for r in pair]
 
-    def one(k: int) -> list[CheckReport]:
-        name = f"singletons-{k}"
-        qv, pv = q_star(name), pc_exact(name)
-        q_expect = 1.0 / (2.0 * k)
-        p_expect = 1.0 - 2.0 ** (-1.0 / k)
-        return [
-            CheckReport(name, "singleton_q", qv, q_expect, 1e-9,
-                        abs(qv - q_expect) <= 1e-9),
-            CheckReport(name, "singleton_pc", pv, p_expect, 1e-9,
-                        abs(pv - p_expect) <= 1e-9),
-        ]
 
-    out: list[CheckReport] = []
-    for pair in parallel_map(one, range(1, 9), workers=ctx.workers):
-        out.extend(pair)
-    return out
+def _first_moment_check(name: str) -> CheckReport:
+    return verify_first_moment(
+        get_instance(name), instance=name, q=q_star(name), pc=pc_exact(name)
+    )
 
 
 def criterion_03(ctx: _Ctx) -> list[CheckReport]:
     """Certified smallness never outruns the exact threshold."""
+    return parallel_map(_first_moment_check, DESK_INSTANCES, workers=ctx.workers)
 
-    def one(name: str) -> CheckReport:
-        return verify_first_moment(
-            get_instance(name), instance=name, q=q_star(name), pc=pc_exact(name)
-        )
 
-    return parallel_map(one, DESK_INSTANCES, workers=ctx.workers)
+def _threshold_check(name: str) -> CheckReport:
+    return verify_threshold_bound(
+        get_instance(name), instance=name, q=q_star(name), pc=pc_exact(name)
+    )
 
 
 def criterion_04(ctx: _Ctx) -> list[CheckReport]:
     """Threshold upper bound on every desk instance, enough of them unclamped."""
-
-    def one(name: str) -> CheckReport:
-        return verify_threshold_bound(
-            get_instance(name), instance=name, q=q_star(name), pc=pc_exact(name)
-        )
-
-    recs = parallel_map(one, DESK_INSTANCES, workers=ctx.workers)
+    recs = parallel_map(_threshold_check, DESK_INSTANCES, workers=ctx.workers)
     unclamped = [r.instance for r in recs if not r.vacuous]
     recs.append(
         CheckReport(
@@ -244,53 +269,46 @@ def criterion_04(ctx: _Ctx) -> list[CheckReport]:
     return recs
 
 
+def _fragment_block(rng: Rng, cell: tuple[int], b: int) -> np.ndarray:
+    h = get_instance(FRAG_INSTANCES[cell[0]])
+    return fragment_weight_samples(h, Q_FRAG, rng.substream(b), trials=_BLOCK)
+
+
 def criterion_05(ctx: _Ctx) -> list[CheckReport]:
     """Sampled per-size fragment weights against their expectation bounds."""
-    rng = Rng(ctx.seed, (5,))
-    blocks = FRAG_TRIALS // _BLOCK
-
-    def one(item: tuple[int, int]) -> np.ndarray:
-        idx, b = item
-        h = get_instance(FRAG_INSTANCES[idx])
-        return fragment_weight_samples(
-            h, Q_FRAG, rng.substream(idx).substream(b), trials=_BLOCK
-        )
-
-    items = [(i, b) for i in range(len(FRAG_INSTANCES)) for b in range(blocks)]
-    chunks = parallel_map(one, items, workers=ctx.workers)
+    cells = [(i,) for i in range(len(FRAG_INSTANCES))]
+    chunks = _grid(ctx, 5, _fragment_block, cells, FRAG_TRIALS)
     recs: list[CheckReport] = []
-    for i, name in enumerate(FRAG_INSTANCES):
-        samples = np.vstack(chunks[i * blocks : (i + 1) * blocks])
+    for cell, name, part in zip(cells, FRAG_INSTANCES, chunks):
         recs.extend(
             verify_fragment_weight(
-                get_instance(name), Q_FRAG, rng.substream(i),
-                instance=name, samples=samples,
+                get_instance(name), Q_FRAG, Rng(ctx.seed, (5, *cell)),
+                instance=name, samples=np.vstack(part),
             )
         )
     return recs
 
 
+def _triples_block(rng: Rng, cell: tuple[()], b: int) -> int:
+    ok = 0
+    for j in range(b * _BLOCK, (b + 1) * _BLOCK):
+        g = rng.substream(j).generator
+        n = int(g.integers(3, 11))
+        m = int(g.integers(1, 11))
+        h = Hypergraph.from_masks(
+            n, (int(g.integers(1, 1 << n)) for _ in range(m))
+        )
+        w = VertexSet(int(g.integers(0, 1 << n)))
+        s = h.edges[int(g.integers(0, h.edge_count))]
+        t, _ = fragment(h, w, s)
+        if t.isdisjoint(w) and tiebreaker_recovers_fragment(h, w, s):
+            ok += 1
+    return ok
+
+
 def criterion_06(ctx: _Ctx) -> list[CheckReport]:
     """Tiebreaker recovery on random (hypergraph, W, edge) triples."""
-    rng = Rng(ctx.seed, (6,))
-
-    def block(b: int) -> int:
-        ok = 0
-        for j in range(b * _BLOCK, (b + 1) * _BLOCK):
-            g = rng.substream(j).generator
-            n = int(g.integers(3, 11))
-            m = int(g.integers(1, 11))
-            h = Hypergraph.from_masks(
-                n, (int(g.integers(1, 1 << n)) for _ in range(m))
-            )
-            w = VertexSet(int(g.integers(0, 1 << n)))
-            s = h.edges[int(g.integers(0, h.edge_count))]
-            t, _ = fragment(h, w, s)
-            if t.isdisjoint(w) and tiebreaker_recovers_fragment(h, w, s):
-                ok += 1
-        return ok
-
-    oks = parallel_map(block, range(TRIPLE_TRIALS // _BLOCK), workers=ctx.workers)
+    (oks,) = _grid(ctx, 6, _triples_block, [()], TRIPLE_TRIALS)
     total = sum(oks)
     return [
         CheckReport(
@@ -301,33 +319,28 @@ def criterion_06(ctx: _Ctx) -> list[CheckReport]:
     ]
 
 
+def _halving_block(rng: Rng, cell: tuple[int], b: int) -> tuple[int, int]:
+    name = HALVING_INSTANCES[cell[0]]
+    h, q = get_instance(name), _q_above(name)
+    found = dichotomy = 0
+    for j in range(b * _BLOCK, (b + 1) * _BLOCK):
+        tr = run_halving(h, q, rng.substream(j))
+        found += tr.found
+        dichotomy += tr.dichotomy_ok
+    return found, dichotomy
+
+
 def criterion_07(ctx: _Ctx) -> list[CheckReport]:
     """Halving runs: found-or-undercovered every time, and found often."""
-    rng = Rng(ctx.seed, (7,))
-    blocks = HALVING_RUNS // _BLOCK
-
-    def one(item: tuple[int, int]) -> tuple[int, int]:
-        idx, b = item
-        name = HALVING_INSTANCES[idx]
-        h = get_instance(name)
-        q = q_star(name) * (1.0 + 1e-6)
-        found = dichotomy = 0
-        for j in range(b * _BLOCK, (b + 1) * _BLOCK):
-            tr = run_halving(h, q, rng.substream(idx).substream(j))
-            found += tr.found
-            dichotomy += tr.dichotomy_ok
-        return found, dichotomy
-
-    items = [(i, b) for i in range(len(HALVING_INSTANCES)) for b in range(blocks)]
-    res = parallel_map(one, items, workers=ctx.workers)
+    cells = [(i,) for i in range(len(HALVING_INSTANCES))]
+    res = _grid(ctx, 7, _halving_block, cells, HALVING_RUNS)
     recs: list[CheckReport] = []
-    for i, name in enumerate(HALVING_INSTANCES):
-        part = res[i * blocks : (i + 1) * blocks]
+    for name, part in zip(HALVING_INSTANCES, res):
         found = sum(x[0] for x in part)
         dichotomy = sum(x[1] for x in part)
         phat = found / HALVING_RUNS
         sig = _sigma3(phat, HALVING_RUNS)
-        q = q_star(name) * (1.0 + 1e-6)
+        q = _q_above(name)
         recs.append(
             CheckReport(name, "halving_dichotomy", float(dichotomy),
                         float(HALVING_RUNS), 0.0, dichotomy == HALVING_RUNS,
@@ -340,47 +353,35 @@ def criterion_07(ctx: _Ctx) -> list[CheckReport]:
     return recs
 
 
+def _retry_block(rng: Rng, cell: tuple[int, int], b: int) -> tuple[int, int, int, float]:
+    i, e = cell
+    name = RETRY_INSTANCES[i]
+    h, q = get_instance(name), _q_above(name)
+    fails = fail_rounds = rounds = 0
+    w_max = 0.0
+    for j in range(b * _BLOCK, (b + 1) * _BLOCK):
+        tr = run_retry(h, q, RETRY_EPS[e], rng.substream(j))
+        if tr.successes < tr.ell_start.bit_length():
+            fails += 1
+        fail_rounds += sum(1 for r in tr.rounds if r.outcome == "failure")
+        rounds += len(tr.rounds)
+        w_max = max(w_max, tr.u_weight)
+    return fails, fail_rounds, rounds, w_max
+
+
 def criterion_08(ctx: _Ctx) -> list[CheckReport]:
     """Retry runs: weight cap, failure rates, round-level success odds."""
-    rng = Rng(ctx.seed, (8,))
-    blocks = RETRY_RUNS // _BLOCK
-
-    def one(item: tuple[int, int, int]) -> tuple[int, int, int, float]:
-        i, e, b = item
-        name = RETRY_INSTANCES[i]
-        h = get_instance(name)
-        q = q_star(name) * (1.0 + 1e-6)
-        eps = RETRY_EPS[e]
-        fails = fail_rounds = rounds = 0
-        w_max = 0.0
-        for j in range(b * _BLOCK, (b + 1) * _BLOCK):
-            tr = run_retry(h, q, eps, rng.substream(i).substream(e).substream(j))
-            if tr.successes < tr.ell_start.bit_length():
-                fails += 1
-            fail_rounds += sum(1 for r in tr.rounds if r.outcome == "failure")
-            rounds += len(tr.rounds)
-            w_max = max(w_max, tr.u_weight)
-        return fails, fail_rounds, rounds, w_max
-
-    items = [
-        (i, e, b)
-        for i in range(len(RETRY_INSTANCES))
-        for e in range(len(RETRY_EPS))
-        for b in range(blocks)
-    ]
-    res = parallel_map(one, items, workers=ctx.workers)
+    cells = [(i, e) for i in range(len(RETRY_INSTANCES)) for e in range(len(RETRY_EPS))]
+    res = dict(zip(cells, _grid(ctx, 8, _retry_block, cells, RETRY_RUNS)))
 
     recs: list[CheckReport] = []
-    not_small: dict[str, bool] = {}
     for i, name in enumerate(RETRY_INSTANCES):
-        h = get_instance(name)
-        q = q_star(name) * (1.0 + 1e-6)
-        small, _ = is_q_small(h, q)
-        not_small[name] = not small
+        q = _q_above(name)
+        small, _ = is_q_small(get_instance(name), q)
         inst_fail_rounds = inst_rounds = 0
         inst_w_max = 0.0
         for e, eps in enumerate(RETRY_EPS):
-            part = [res[(i * len(RETRY_EPS) + e) * blocks + b] for b in range(blocks)]
+            part = res[i, e]
             fails = sum(x[0] for x in part)
             inst_fail_rounds += sum(x[1] for x in part)
             inst_rounds += sum(x[2] for x in part)
@@ -390,7 +391,7 @@ def criterion_08(ctx: _Ctx) -> list[CheckReport]:
             recs.append(
                 CheckReport(name, f"retry_failure_rate_eps{eps}", rate, eps, sig,
                             rate <= eps + sig, False, ctx.seed, RETRY_RUNS,
-                            {"q": q, "not_small": not_small[name]})
+                            {"q": q, "not_small": not small})
             )
         recs.append(
             CheckReport(name, "retry_weight_cap", inst_w_max, 0.5, 0.0,
@@ -404,16 +405,14 @@ def criterion_08(ctx: _Ctx) -> list[CheckReport]:
                         markov < 0.5 + sig, False, ctx.seed, inst_rounds, {})
         )
 
-    hp_recs = []
-    for k, eps in enumerate(HIGHPROB_EPS):
-        h = get_instance(HIGHPROB_INSTANCE)
-        hp_recs.append(
-            verify_highprob_bound(
-                h, eps, rng.substream(100 + k), instance=HIGHPROB_INSTANCE,
-                q=q_star(HIGHPROB_INSTANCE) * (1.0 + 1e-6),
-                trials=HIGHPROB_TRIALS,
-            )
+    hp_recs = [
+        verify_highprob_bound(
+            get_instance(HIGHPROB_INSTANCE), eps, Rng(ctx.seed, (8, 100 + k)),
+            instance=HIGHPROB_INSTANCE, q=_q_above(HIGHPROB_INSTANCE),
+            trials=HIGHPROB_TRIALS,
         )
+        for k, eps in enumerate(HIGHPROB_EPS)
+    ]
     recs.extend(hp_recs)
     live = sum(1 for r in hp_recs if not r.vacuous and r.passed)
     recs.append(
@@ -423,58 +422,61 @@ def criterion_08(ctx: _Ctx) -> list[CheckReport]:
     return recs
 
 
+def _restart_block(rng: Rng, cell: tuple[int, int], b: int) -> int:
+    i, e = cell
+    name = RESTART_INSTANCES[i]
+    h, q = get_instance(name), _q_above(name)
+    return sum(
+        not run_restart(h, q, RESTART_EPS[e], rng.substream(j)).found
+        for j in range(b * _BLOCK, (b + 1) * _BLOCK)
+    )
+
+
 def criterion_09(ctx: _Ctx) -> list[CheckReport]:
     """Restart runs fail no more often than eps allows."""
-    rng = Rng(ctx.seed, (9,))
-    blocks = RESTART_RUNS // _BLOCK
-
-    def one(item: tuple[int, int, int]) -> int:
-        i, e, b = item
-        name = RESTART_INSTANCES[i]
-        h = get_instance(name)
-        q = q_star(name) * (1.0 + 1e-6)
-        eps = RESTART_EPS[e]
-        fails = 0
-        for j in range(b * _BLOCK, (b + 1) * _BLOCK):
-            tr = run_restart(h, q, eps, rng.substream(i).substream(e).substream(j))
-            fails += not tr.found
-        return fails
-
-    items = [
-        (i, e, b)
-        for i in range(len(RESTART_INSTANCES))
-        for e in range(len(RESTART_EPS))
-        for b in range(blocks)
-    ]
-    res = parallel_map(one, items, workers=ctx.workers)
+    cells = [(i, e) for i in range(len(RESTART_INSTANCES)) for e in range(len(RESTART_EPS))]
     recs = []
-    for i, name in enumerate(RESTART_INSTANCES):
-        for e, eps in enumerate(RESTART_EPS):
-            fails = sum(res[(i * len(RESTART_EPS) + e) * blocks + b] for b in range(blocks))
-            rate = fails / RESTART_RUNS
-            sig = _sigma3(eps, RESTART_RUNS)
-            recs.append(
-                CheckReport(name, f"restart_failure_rate_eps{eps}", rate, eps,
-                            sig, rate <= eps + sig, False, ctx.seed,
-                            RESTART_RUNS, {"q": q_star(name) * (1.0 + 1e-6)})
-            )
+    for (i, e), part in zip(cells, _grid(ctx, 9, _restart_block, cells, RESTART_RUNS)):
+        name, eps = RESTART_INSTANCES[i], RESTART_EPS[e]
+        rate = sum(part) / RESTART_RUNS
+        sig = _sigma3(eps, RESTART_RUNS)
+        recs.append(
+            CheckReport(name, f"restart_failure_rate_eps{eps}", rate, eps,
+                        sig, rate <= eps + sig, False, ctx.seed,
+                        RESTART_RUNS, {"q": _q_above(name)})
+        )
     return recs
+
+
+def _spread_record(name: str) -> CheckReport:
+    passed, items = _spread_check(name)
+    details = dict(items)
+    return CheckReport(
+        name, "spread_not_small", details["min_cover_weight"], 1.0, 1e-9,
+        passed, False, None, 0,
+        {"kappa": details["kappa"], "q": details["q"],
+         "is_q_small": details["is_q_small"]},
+    )
 
 
 def criterion_10(ctx: _Ctx) -> list[CheckReport]:
     """At q = 1/kappa no cover gets below weight one."""
+    return parallel_map(_spread_record, DESK_INSTANCES, workers=ctx.workers)
 
-    def one(name: str) -> CheckReport:
-        passed, items = _spread_check(name)
-        details = dict(items)
-        return CheckReport(
-            name, "spread_not_small", details["min_cover_weight"], 1.0, 1e-9,
-            passed, False, None, 0,
-            {"kappa": details["kappa"], "q": details["q"],
-             "is_q_small": details["is_q_small"]},
-        )
 
-    return parallel_map(one, DESK_INSTANCES, workers=ctx.workers)
+def _oracle_check(item: tuple[str, float]) -> CheckReport:
+    name, q = item
+    h = get_instance(name)
+    bw, bwit = min_cover_weight(h, q)
+    ow, owit = exhaustive_min_cover_weight(h, q, max_assignments=ORACLE_ASSIGN_LIMIT)
+    covers_ok = undercovers(
+        Hypergraph(h.ground_size, tuple(bwit)), h
+    ) and undercovers(Hypergraph(h.ground_size, tuple(owit)), h)
+    return CheckReport(
+        name, f"bb_vs_exhaustive_q{q}", float(bw), float(ow), 0.0,
+        bw == ow and covers_ok, False, None, 0,
+        {"q": q, "covers_ok": covers_ok},
+    )
 
 
 def criterion_11(ctx: _Ctx) -> list[CheckReport]:
@@ -486,23 +488,8 @@ def criterion_11(ctx: _Ctx) -> list[CheckReport]:
         if prod(1 << len(s) for s in minimize(get_instance(name)).edges)
         <= ORACLE_ASSIGN_LIMIT
     ]
-
-    def one(item: tuple[str, float]) -> CheckReport:
-        name, q = item
-        h = get_instance(name)
-        bw, bwit = min_cover_weight(h, q)
-        ow, owit = exhaustive_min_cover_weight(h, q, max_assignments=ORACLE_ASSIGN_LIMIT)
-        covers_ok = undercovers(
-            Hypergraph(h.ground_size, tuple(bwit)), h
-        ) and undercovers(Hypergraph(h.ground_size, tuple(owit)), h)
-        return CheckReport(
-            name, f"bb_vs_exhaustive_q{q}", float(bw), float(ow), 0.0,
-            bw == ow and covers_ok, False, None, 0,
-            {"q": q, "covers_ok": covers_ok},
-        )
-
     items = [(name, q) for name in eligible for q in ORACLE_QS]
-    recs = parallel_map(one, items, workers=ctx.workers)
+    recs = parallel_map(_oracle_check, items, workers=ctx.workers)
     for name in ORACLE_PROB_INSTANCES:
         h = get_instance(name)
         for p in ORACLE_PS:

@@ -7,6 +7,7 @@ bound, the assignment enumerator, and the DP must all agree exactly.
 """
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -279,6 +280,19 @@ def test_node_budget_enforced():
         min_cover_weight(triangles(5), 0.3, node_budget=0)
 
 
+def test_cover_search_leaves_the_recursion_limit_alone(monkeypatch):
+    # The limit is process-global and the suite runs searches in worker
+    # threads, so a search that raised and restored it could leave it raised.
+    def refuse(limit):
+        raise AssertionError(f"cover search set the recursion limit to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    h = triangles(5)
+    w, witness = min_cover_weight(h, 0.3)
+    assert w == dp_min_cover_weight(h, 0.3)
+    assert undercovers(Hypergraph(h.ground_size, witness), h)
+
+
 def test_exhaustive_budget_enforced():
     with pytest.raises(ResourceLimitError):
         exhaustive_min_cover_weight(triangles(5), 0.3)  # 8^10 assignments
@@ -408,7 +422,8 @@ def test_cover_from_json_rejects_garbage():
 def test_cover_from_json_caps_sizes_before_building_masks():
     doc = {"ground_size": 4, "q": 0.5, "weight": 0.25, "edges": [[0, 1]]}
     for bad in ({"ground_size": 10**12}, {"ground_size": -1},
-                {"edges": [[0, 10**12]]}, {"edges": [[-1]]}):
+                {"edges": [[0, 10**12]]}, {"edges": [[-1]]},
+                {"ground_size": 1 << 20, "edges": [[(1 << 20) - 1]] * 300}):
         with pytest.raises(FormatError):
             cover_from_json(json.dumps({**doc, **bad}))
 

@@ -119,6 +119,16 @@ def test_oversized_inputs_are_format_errors(triangles4, tmp_path, capsys):
     ))
     code, _, err = run(capsys, "check-cert", triangles4, str(cert))
     assert code == 2 and "bad certificate" in err
+    # Inside the ground-size cap, many members on the top vertex still add up.
+    top = (1 << 20) - 1
+    huge.write_text(f"n {top + 1}\n" + f"{top}\n" * 300)
+    code, _, err = run(capsys, "qsmall", str(huge))
+    assert code == 2 and "bits in total" in err
+    cert.write_text(json.dumps(
+        {"ground_size": top + 1, "q": 0.5, "weight": 0.5, "edges": [[top]] * 300}
+    ))
+    code, _, err = run(capsys, "check-cert", triangles4, str(cert))
+    assert code == 2 and "bits in total" in err
 
 
 def test_spread_output(triangles4, capsys):

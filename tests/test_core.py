@@ -4,6 +4,7 @@ import pytest
 
 from threshlab.core import (
     MAX_GROUND_SIZE,
+    MAX_INPUT_BITS,
     FormatError,
     Hypergraph,
     Rng,
@@ -21,6 +22,7 @@ from threshlab.core import (
     undercovers,
     write_hypergraph,
 )
+from threshlab.families import sunflower
 
 
 def vs(*indices):
@@ -385,6 +387,17 @@ def test_parse_caps_the_ground_size_before_building_masks():
     for n in (MAX_GROUND_SIZE + 1, 10**10, 10**12):
         with pytest.raises(FormatError, match="exceeds the limit"):
             parse_hypergraph(f"n {n}\n{n - 1}\n")
+
+
+def test_parse_caps_the_total_mask_bits():
+    # 300 edges on the top vertex would be 300 ints of 2^20 bits each.
+    top = MAX_GROUND_SIZE - 1
+    assert 300 * MAX_GROUND_SIZE > MAX_INPUT_BITS
+    with pytest.raises(FormatError, match="bits in total"):
+        parse_hypergraph(f"n {MAX_GROUND_SIZE}\n" + f"{top}\n" * 300)
+    # The largest file the generator is documented to write stays readable.
+    big = sunflower(0, 5000, 2)
+    assert parse_hypergraph(format_hypergraph(big)) == big
 
 
 def test_read_write_files(tmp_path):
