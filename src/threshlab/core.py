@@ -201,18 +201,26 @@ class Hypergraph:
         hm.__dict__["_minimized"] = hm  # a canonical form is its own
         return hm
 
+    @cached_property
+    def _max_edge_size(self) -> int:
+        if not self.edges:
+            raise ValueError("max_edge_size of a hypergraph with no edges")
+        return max(m.bit_count() for m in self.masks)
+
+    @cached_property
+    def _has_empty_edge(self) -> bool:
+        return 0 in self.masks
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def max_edge_size(self) -> int:
         """Largest edge cardinality.  Raises on an edgeless hypergraph."""
-        if not self.edges:
-            raise ValueError("max_edge_size of a hypergraph with no edges")
-        return max(m.bit_count() for m in self.masks)
+        return self._max_edge_size
 
     def has_empty_edge(self) -> bool:
-        return any(m == 0 for m in self.masks)
+        return self._has_empty_edge
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(e) for e in self.edges[:6])
@@ -344,6 +352,13 @@ def _mask_from_bits(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def _bits_of_mask(mask: int) -> np.ndarray:
+    """The inverse of _mask_from_bits: bit v of mask as entry v of a bool
+    array, padded with False to a whole number of bytes."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little").view(bool)
+
+
 def sample_bernoulli(ground_size: int, p: float, rng: Rng) -> VertexSet:
     """Include each vertex independently with probability p."""
     if not 0.0 <= p <= 1.0:
@@ -358,11 +373,9 @@ def sample_uniform_of_size(ground_size: int, m: int, rng: Rng) -> VertexSet:
         raise ValueError("sample size out of range")
     if m == ground_size:
         return VertexSet.full(ground_size)
-    idx = rng.generator.choice(ground_size, size=m, replace=False)
-    mask = 0
-    for v in idx:
-        mask |= 1 << int(v)
-    return VertexSet(mask)
+    bits = np.zeros(ground_size, dtype=bool)
+    bits[rng.generator.choice(ground_size, size=m, replace=False)] = True
+    return VertexSet(_mask_from_bits(bits))
 
 
 # ---------------------------------------------------------------------------

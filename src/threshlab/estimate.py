@@ -37,6 +37,7 @@ from .core import (
     Hypergraph,
     ResourceLimitError,
     Rng,
+    lex_key,
     minimize,
     sample_uniform_of_size,
 )
@@ -66,6 +67,9 @@ __all__ = [
 Z95 = 1.959963984540054
 EXACT_GROUND_LIMIT = 24
 _MC_BLOCK = 256
+# Largest gathered temporary of one Monte Carlo block, in bytes: each edge
+# group is tested in chunks of edges whose gathered rows stay under it.
+_MC_GATHER_BYTES = 1 << 22
 # Largest edge count inclusion-exclusion takes on: 2^16 subset terms.
 _INCLEXCL_EDGE_LIMIT = 16
 # Bisection steps of the Monte Carlo threshold search; 2^-40 is far below
@@ -250,17 +254,27 @@ def mc_containment_probability(
 
     Trials run in fixed blocks of 256, each block on its own substream, so
     the estimate depends only on (seed, trials).
+
+    Set-up walks only the set bits of the distinct edges, O(sum of |e|)
+    steps, and groups the edges by size into index arrays.  A block then
+    tests each group at once on its 256 x n sample rows, in chunks of edges
+    whose gathered rows take at most 4 MiB (or one edge, if a single edge
+    takes more), so a block needs its rows plus that bound however many
+    edges there are.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("inclusion probability must lie in [0, 1]")
     if trials <= 0:
         raise ValueError("trials must be positive")
     n = h.ground_size
-    distinct = sorted(set(h.masks))
-    cols = [
-        np.fromiter((v for v in range(n) if m >> v & 1), dtype=np.int64)
-        for m in distinct
-    ]
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for m in set(h.masks):
+        by_size.setdefault(m.bit_count(), []).append(lex_key(m))
+    chunks = []
+    for k, members in by_size.items():
+        step = max(1, _MC_GATHER_BYTES // (_MC_BLOCK * max(k, 1)))
+        group = np.array(members, dtype=np.intp)
+        chunks.extend(group[i : i + step] for i in range(0, len(members), step))
     successes = 0
     done = 0
     block = 0
@@ -269,11 +283,8 @@ def mc_containment_probability(
         gen = rng.substream(block).generator
         rows = gen.random((size, n)) < p
         hit = np.zeros(size, dtype=bool)
-        for c in cols:
-            if c.size == 0:
-                hit[:] = True
-                break
-            hit |= rows[:, c].all(axis=1)
+        for g in chunks:
+            hit |= rows[:, g].all(axis=2).any(axis=1)
         successes += int(hit.sum())
         done += size
         block += 1

@@ -38,8 +38,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, comb, fsum, log2
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .certify import cover_weight
 from .core import (
@@ -49,6 +52,8 @@ from .core import (
     TrivialHypergraphError,
     VertexSet,
     Rng,
+    _bits_of_mask,
+    _mask_from_bits,
     contains_edge,
     iter_submasks,
     lex_key,
@@ -162,12 +167,13 @@ def _fragment_all(
     and a fragment is the residual minimizing (size, owner rank), encoded
     as the one integer size * len(lex_edges) + rank.
     """
+    keep = ~w_mask
     order: dict[int, int] = {}
     for rank, m in enumerate(lex_edges):
-        r = m & ~w_mask
+        r = m & keep
+        if not r:
+            return m, []  # the first edge inside w owns the empty residual
         order.setdefault(r, r.bit_count() * len(lex_edges) + rank)
-    if 0 in order:
-        return lex_edges[order[0]], []
     cost = sum(1 << r.bit_count() for r in order)
     if cost > budget:
         raise ResourceLimitError(
@@ -175,7 +181,7 @@ def _fragment_all(
         )
     frags: list[int] = []
     for m in lex_edges:
-        best = r = m & ~w_mask
+        best = r = m & keep
         best_order = order[r]
         for sub in iter_submasks(r):
             k = order.get(sub)
@@ -335,12 +341,18 @@ def _validate_factor(ell_factor: float) -> None:
 
 def _lift_sample(active_mask: int, picked: VertexSet) -> int:
     """Map a sample of positions among the active vertices, drawn on a
-    ground of size active_mask.bit_count(), onto those vertices."""
-    active = lex_key(active_mask)
-    w = 0
-    for i in picked:
-        w |= 1 << active[i]
-    return w
+    ground of size active_mask.bit_count(), onto those vertices.
+
+    Position i goes to the i-th active vertex in increasing order.  When
+    the active vertices are 0..k-1, as in every first round, that is
+    vertex i itself; otherwise the positions are gathered with numpy.
+    """
+    if active_mask & (active_mask + 1) == 0:
+        return picked.mask
+    active = np.flatnonzero(_bits_of_mask(active_mask))
+    bits = np.zeros(active_mask.bit_length(), dtype=bool)
+    bits[active[np.flatnonzero(_bits_of_mask(picked.mask))]] = True
+    return _mask_from_bits(bits)
 
 
 def _validate_q(q: float) -> None:
@@ -464,6 +476,7 @@ def retry_round_count(ell: int, eps: float) -> int:
     return 6 * (fr.numerator // fr.denominator).bit_length() - 6
 
 
+@lru_cache(maxsize=256)
 def retry_round_threshold(ell: int, ell_factor: float = 8) -> Fraction:
     """Exile-weight budget for a round at size bound ell: twice the expected
     bound 2 * sum over t in (ell/2, ell] of L^-t * C(ell, t)."""
@@ -633,6 +646,7 @@ def run_retry(
 # restart process
 
 
+@lru_cache(maxsize=256)
 def restart_attempt_count(eps: float) -> int:
     """ceil(log2(1 / eps)) attempts, at least 1."""
     if not 0.0 < eps < 1.0:
@@ -681,16 +695,19 @@ def run_restart(
         w = _lift_sample(active, sample_bernoulli(n_rem, p, rng.substream(i)))
         total_w |= w
         active &= ~w
-        hit = contains_edge(hd, VertexSet(total_w))
+        # The canonical masks are in lex order, so the first edge inside
+        # the union is the lexicographically least one.
+        outside = ~total_w
+        hit = next((e for e in hd.masks if e & outside == 0), None)
         rounds.append(
             RoundRecord(
                 i, ell_start, n_rem, VertexSet(w), (), 0.0,
-                "found" if hit else "miss",
+                "miss" if hit is None else "found",
             )
         )
-        if hit:
+        if hit is not None:
             found = True
-            found_edge = lex_contained_edge(hd, VertexSet(total_w))
+            found_edge = VertexSet(hit)
             break
     trace = _finish_trace(
         variant="restart",

@@ -1,6 +1,8 @@
 """Core types, set operations, samplers, and the text format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshlab.core import (
     MAX_GROUND_SIZE,
@@ -334,6 +336,23 @@ def test_uniform_of_size_has_exact_size():
         w = sample_uniform_of_size(12, 5, rng.substream(i))
         assert len(w) == 5
         assert w.mask < 1 << 12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_uniform_of_size_is_the_choice_on_its_substream(data):
+    n = data.draw(st.integers(0, 300))
+    m = data.draw(st.integers(0, n))
+    base = Rng(data.draw(st.integers(0, 2**64 - 1)))
+    index = data.draw(st.integers(0, 1000))
+    w = sample_uniform_of_size(n, m, base.substream(index))
+    assert len(w) == m
+    assert w.mask >> n == 0
+    idx = base.substream(index).generator.choice(n, size=m, replace=False)
+    mask = 0
+    for v in idx:
+        mask |= 1 << int(v)
+    assert w.mask == mask
 
 
 def test_uniform_of_size_rejects_bad_m():

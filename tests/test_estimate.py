@@ -10,7 +10,10 @@ from math import comb, fsum, log2
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import threshlab.estimate as estimate
 from threshlab.core import Hypergraph, ResourceLimitError, Rng
 from threshlab.estimate import (
     EXACT_GROUND_LIMIT,
@@ -206,6 +209,64 @@ def test_mc_containment_brackets_exact_value():
     est = mc_containment_probability(h, p, Rng(11), trials=4000)
     assert est.ci_low <= 0.5 <= est.ci_high
     assert est.trials == 4000 and est.seed == 11
+
+
+def mc_oracle_successes(h, p, rng, trials):
+    """Redraw each block of 256 sample rows from its substream and check
+    every edge against every row with plain loops."""
+    n = h.ground_size
+    edges = [[v for v in range(n) if m >> v & 1] for m in h.masks]
+    successes = 0
+    for block, start in enumerate(range(0, trials, 256)):
+        size = min(256, trials - start)
+        rows = rng.substream(block).generator.random((size, n)) < p
+        for row in rows.tolist():
+            if any(all(row[v] for v in e) for e in edges):
+                successes += 1
+    return successes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mc_containment_matches_a_plain_oracle(data):
+    # mixed edge sizes, duplicate edges, the empty edge, edgeless inputs,
+    # trial counts that end in a partial block, and gather chunks from one
+    # edge up to the whole group
+    n = data.draw(st.integers(0, 10))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    if masks:
+        masks += data.draw(st.lists(st.sampled_from(masks), max_size=3))
+    if data.draw(st.booleans()):
+        masks.append(0)
+    h = Hypergraph.from_masks(n, data.draw(st.permutations(masks)))
+    p = data.draw(st.floats(0.0, 1.0))
+    trials = data.draw(st.integers(1, 900).filter(lambda t: t % 256))
+    seed = data.draw(st.integers(0, 2**32))
+    gather = data.draw(st.sampled_from([None, 1, 256 * 2, 256 * 3 * 2]))
+    with pytest.MonkeyPatch.context() as mp:
+        if gather is not None:
+            mp.setattr(estimate, "_MC_GATHER_BYTES", gather)
+        est = mc_containment_probability(h, p, Rng(seed), trials=trials)
+    hits = mc_oracle_successes(h, p, Rng(seed), trials)
+    assert est.trials == trials and est.seed == seed
+    assert est.value == hits / trials
+    assert (est.ci_low, est.ci_high) == wilson_interval(hits, trials)
+
+
+def test_mc_containment_spans_several_gather_chunks(monkeypatch):
+    # 9 distinct pairs and 5 distinct triples on 24 vertices, one pair twice
+    pairs = [(2 * i, 2 * i + 1) for i in range(9)]
+    triples = [(18 + i, (19 + i) % 24, (20 + i) % 24) for i in range(5)]
+    h = hg(24, *pairs, *triples, pairs[4])
+    whole = mc_containment_probability(h, 0.45, Rng(3), trials=1000)
+    # 2048 bytes hold 256 rows of 4 pairs or of 2 triples, so the pairs take
+    # 3 chunks and the triples 3
+    monkeypatch.setattr(estimate, "_MC_GATHER_BYTES", 256 * 2 * 4)
+    chunked = mc_containment_probability(h, 0.45, Rng(3), trials=1000)
+    hits = mc_oracle_successes(h, 0.45, Rng(3), 1000)
+    assert 0 < hits < 1000
+    assert chunked == whole
+    assert chunked.value == hits / 1000
 
 
 def test_mc_containment_validation():

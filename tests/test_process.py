@@ -19,11 +19,13 @@ from threshlab.core import (
     Rng,
     TrivialHypergraphError,
     VertexSet,
+    lex_key,
     minimize,
 )
 from threshlab.families import singletons, sunflower, triangles
 from threshlab.process import (
     ProcessInvariantError,
+    _lift_sample,
     fragment,
     halving_round,
     lex_contained_edge,
@@ -189,6 +191,38 @@ def test_halving_round_budget():
     h = sunflower(0, 8, 2)
     with pytest.raises(ResourceLimitError):
         halving_round(h, VertexSet(), budget=1)
+
+
+# ---------------------------------------------------------------------------
+# lifting a sample onto the active vertices
+
+
+def lift_reference(active_mask, picked):
+    active = lex_key(active_mask)
+    w = 0
+    for i in lex_key(picked.mask):
+        w |= 1 << active[i]
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lift_sample_matches_a_loop_over_the_active_vertices(data):
+    width = data.draw(st.sampled_from([1, 7, 8, 9, 64, 65, 400, 1000, 1030]))
+    kind = data.draw(st.sampled_from(["full", "low", "high", "sparse", "dense"]))
+    if kind == "full":
+        active = (1 << width) - 1
+    elif kind == "low":
+        active = (1 << data.draw(st.integers(0, width))) - 1
+    elif kind == "high":
+        active = ((1 << width) - 1) ^ ((1 << data.draw(st.integers(1, width))) - 1)
+    elif kind == "sparse":
+        bits = data.draw(st.sets(st.integers(0, width - 1), max_size=12))
+        active = sum(1 << v for v in bits)
+    else:
+        active = data.draw(st.integers(0, (1 << width) - 1))
+    picked = VertexSet(data.draw(st.integers(0, (1 << active.bit_count()) - 1)))
+    assert _lift_sample(active, picked) == lift_reference(active, picked)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +426,23 @@ def test_restart_found_always_equals_contained():
     for seed in range(10):
         tr = run_restart(h, 0.02, 0.25, Rng(seed))
         assert tr.found == tr.contained
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_restart_found_edge_is_the_lex_least_edge_in_the_union(data):
+    n = data.draw(st.integers(2, 9))
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8))
+    h = Hypergraph.from_masks(n, masks)
+    q = data.draw(st.floats(0.01, 0.2))
+    tr = run_restart(h, q, 0.1, Rng(data.draw(st.integers(0, 2**32))))
+    hd = minimize(h)
+    union = VertexSet()
+    for r in tr.rounds:
+        union |= r.w
+        assert (r.outcome == "found") == any(e.issubset(union) for e in hd.edges)
+    assert union == tr.total_w
+    assert tr.found_edge == (lex_contained_edge(hd, union) if tr.found else None)
 
 
 def test_restart_validation():
