@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import inf, prod
 
 from .core import (
     MAX_GROUND_SIZE,
@@ -123,16 +123,12 @@ class _Pool:
     cand_sizes: tuple[int, ...]
     cand_covers: tuple[int, ...]  # bitmask over edge indices of the minimized graph
     by_edge: tuple[tuple[int, ...], ...]  # candidate indices per edge, largest first
+    index: dict[int, int]  # candidate mask -> its index
 
 
 @lru_cache(maxsize=64)
-def _pool_for(hm: Hypergraph, pool_budget: int) -> _Pool:
+def _pool_for(hm: Hypergraph) -> _Pool:
     masks = hm.masks
-    cost = sum(1 << m.bit_count() for m in masks)
-    if cost > pool_budget:
-        raise ResourceLimitError(
-            f"candidate pool needs {cost} submask visits, budget is {pool_budget}"
-        )
     covers: dict[int, int] = {}
     for j, m in enumerate(masks):
         bit = 1 << j
@@ -153,6 +149,7 @@ def _pool_for(hm: Hypergraph, pool_budget: int) -> _Pool:
         tuple(sizes),
         tuple(covers[mk] for mk in cand_masks),
         tuple(by_edge),
+        index,
     )
 
 
@@ -181,31 +178,34 @@ def _greedy_cover(pool: _Pool, w_float: list[float], full: int) -> list[int]:
     return picks
 
 
-def min_cover_weight(
-    h: Hypergraph,
-    q: float,
-    *,
-    pool_budget: int = POOL_BUDGET,
-    node_budget: int = NODE_BUDGET,
-) -> tuple[Fraction, tuple[VertexSet, ...]]:
+def min_cover_weight(h: Hypergraph, q: float) -> tuple[Fraction, tuple[VertexSet, ...]]:
     """Exact minimum cover weight of h at q, with a witness cover.
 
     Minimizing h first changes nothing: covering an edge also covers every
-    superset, so only inclusion-minimal edges constrain the cover.
+    superset, so only inclusion-minimal edges constrain the cover.  The
+    search is bounded by POOL_BUDGET submask visits for its candidate pool
+    and NODE_BUDGET search nodes, both read at call time.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1]")
     hm = minimize(h)
     if not hm.edges:
         return Fraction(0), ()
-    pool = _pool_for(hm, pool_budget)
+    # Checked on every call, not inside the cached pool builder, so the
+    # budget in force applies to a pool built under another.
+    cost = sum(1 << m.bit_count() for m in hm.masks)
+    if cost > POOL_BUDGET:
+        raise ResourceLimitError(
+            f"candidate pool needs {cost} submask visits, budget is {POOL_BUDGET}"
+        )
+    node_budget = NODE_BUDGET
+    pool = _pool_for(hm)
     qf = Fraction(q)
     max_size = max(pool.cand_sizes)
     w_exact = [qf**s for s in range(max_size + 1)]
     w_float = [float(w) for w in w_exact]
     edge_count = hm.edge_count
     full = (1 << edge_count) - 1
-    edge_cand_count = [len(lst) for lst in pool.by_edge]
 
     def exact_of(picks) -> Fraction:
         return sum((w_exact[pool.cand_sizes[i]] for i in picks), Fraction(0))
@@ -213,12 +213,10 @@ def min_cover_weight(
     # Incumbents: the whole minimized edge set always covers, and so does
     # the single empty set (weight 1).  A greedy pass sharpens this when the
     # pool is small enough to afford it.
-    cand_index = {mk: i for i, mk in enumerate(pool.cand_masks)}
-    best_picks = [cand_index[m] for m in hm.masks]
+    best_picks = [pool.index[m] for m in hm.masks]
     best_exact = exact_of(best_picks)
-    empty_i = cand_index[0]
     if Fraction(1) < best_exact:
-        best_picks, best_exact = [empty_i], Fraction(1)
+        best_picks, best_exact = [pool.index[0]], Fraction(1)
     if len(pool.cand_masks) * edge_count <= _GREEDY_POOL_LIMIT * 10:
         g = _greedy_cover(pool, w_float, full)
         ge = exact_of(g)
@@ -228,36 +226,23 @@ def min_cover_weight(
 
     nodes = 0
 
-    def lower_bound(covered: int, partial_f: float) -> float:
-        lb = partial_f
+    def lower_bound(covered: int, partial: float | Fraction, w: list) -> float | Fraction:
+        """partial plus, for each uncovered edge, the least weight per
+        newly covered edge among its candidates; w is w_float or w_exact,
+        and the bound is computed in its arithmetic."""
+        lb = partial
         unc = full & ~covered
         rem = unc
         while rem:
             low = rem & -rem
             j = low.bit_length() - 1
             rem ^= low
-            best_ratio = float("inf")
+            best = inf  # compares with floats and Fractions alike
             for i in pool.by_edge[j]:
-                r = w_float[pool.cand_sizes[i]] / (pool.cand_covers[i] & unc).bit_count()
-                if r < best_ratio:
-                    best_ratio = r
-            lb += best_ratio
-        return lb
-
-    def lower_bound_exact(covered: int, partial_x: Fraction) -> Fraction:
-        lb = partial_x
-        unc = full & ~covered
-        rem = unc
-        while rem:
-            low = rem & -rem
-            j = low.bit_length() - 1
-            rem ^= low
-            best_ratio = None
-            for i in pool.by_edge[j]:
-                r = w_exact[pool.cand_sizes[i]] / (pool.cand_covers[i] & unc).bit_count()
-                if best_ratio is None or r < best_ratio:
-                    best_ratio = r
-            lb += best_ratio
+                r = w[pool.cand_sizes[i]] / (pool.cand_covers[i] & unc).bit_count()
+                if r < best:
+                    best = r
+            lb += best
         return lb
 
     chosen: list[int] = []
@@ -277,12 +262,12 @@ def min_cover_weight(
             if ex < best_exact:
                 best_picks, best_exact, best_float = list(chosen), ex, float(ex)
             return ()
-        lb = lower_bound(covered, partial_f)
+        lb = lower_bound(covered, partial_f, w_float)
         if lb > best_float + _GUARD:
             return ()
         if lb >= best_float - _GUARD:
             # Too close to call in floats; decide exactly.
-            if lower_bound_exact(covered, exact_of(chosen)) >= best_exact:
+            if lower_bound(covered, exact_of(chosen), w_exact) >= best_exact:
                 return ()
         # Branch on the uncovered edge with the fewest candidates.
         branch = -1
@@ -292,8 +277,8 @@ def min_cover_weight(
             low = rem & -rem
             j = low.bit_length() - 1
             rem ^= low
-            if branch < 0 or edge_cand_count[j] < branch_n:
-                branch, branch_n = j, edge_cand_count[j]
+            if branch < 0 or len(pool.by_edge[j]) < branch_n:
+                branch, branch_n = j, len(pool.by_edge[j])
         return pool.by_edge[branch]
 
     # Depth-first with an explicit stack, one frame per node on the current
@@ -364,29 +349,15 @@ def exhaustive_min_cover_weight(
     return best[0], witness
 
 
-def is_q_small(
-    h: Hypergraph,
-    q: float,
-    *,
-    pool_budget: int = POOL_BUDGET,
-    node_budget: int = NODE_BUDGET,
-) -> tuple[bool, Cover]:
+def is_q_small(h: Hypergraph, q: float) -> tuple[bool, Cover]:
     """Decide q-smallness exactly; the returned cover attains the minimum
     weight either way, so a False answer still carries the best evidence."""
-    weight, witness = min_cover_weight(
-        h, q, pool_budget=pool_budget, node_budget=node_budget
-    )
+    weight, witness = min_cover_weight(h, q)
     small = weight <= Fraction(1, 2)
     return small, Cover(h.ground_size, q, witness, float(weight))
 
 
-def max_small_q(
-    h: Hypergraph,
-    *,
-    tol: float = 1e-9,
-    pool_budget: int = POOL_BUDGET,
-    node_budget: int = NODE_BUDGET,
-) -> float:
+def max_small_q(h: Hypergraph, *, tol: float = 1e-9) -> float:
     """Largest q for which h is q-small, to within tol/2 by bisection.
 
     Cover weights are nondecreasing in q (members are sets, so each term
@@ -406,9 +377,7 @@ def max_small_q(
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        weight, _ = min_cover_weight(
-            h, mid, pool_budget=pool_budget, node_budget=node_budget
-        )
+        weight, _ = min_cover_weight(h, mid)
         if weight <= Fraction(1, 2):
             lo = mid
         else:
@@ -420,14 +389,15 @@ def max_small_q(
 # spread
 
 
-def spread_of(h: Hypergraph, *, budget: int = SPREAD_BUDGET) -> SpreadWitness:
+def spread_of(h: Hypergraph) -> SpreadWitness:
     """Exact spread of h over distinct edges.
 
     Edges are deduplicated but deliberately not replaced by inclusion
     minimization: both the edge total and the containment counts change
     under minimization, and with them the spread.  Candidate subsets are
     enumerated as submasks of edges, each visit incrementing its containment
-    count, so the whole computation costs sum of 2^|S| over distinct edges.
+    count, so the whole computation costs sum of 2^|S| over distinct edges,
+    bounded by SPREAD_BUDGET as read at call time.
 
     Minimizer comparison is exact: (m/c1)^(1/y1) < (m/c2)^(1/y2) iff
     m^y2 * c2^y1 < m^y1 * c1^y2, an integer comparison.
@@ -437,9 +407,9 @@ def spread_of(h: Hypergraph, *, budget: int = SPREAD_BUDGET) -> SpreadWitness:
         raise ValueError("spread needs at least one nonempty edge")
     m = len(distinct)
     cost = sum(1 << mk.bit_count() for mk in distinct)
-    if cost > budget:
+    if cost > SPREAD_BUDGET:
         raise ResourceLimitError(
-            f"spread enumeration needs {cost} submask visits, budget is {budget}"
+            f"spread enumeration needs {cost} submask visits, budget is {SPREAD_BUDGET}"
         )
     counts: dict[int, int] = {}
     for mk in distinct:
@@ -541,14 +511,7 @@ def validate_cover(
     return not reasons, reasons
 
 
-def check_spread_not_small(
-    h: Hypergraph,
-    *,
-    tol: float = 1e-9,
-    spread_budget: int = SPREAD_BUDGET,
-    pool_budget: int = POOL_BUDGET,
-    node_budget: int = NODE_BUDGET,
-) -> tuple[bool, dict]:
+def check_spread_not_small(h: Hypergraph, *, tol: float = 1e-9) -> tuple[bool, dict]:
     """Spread bars smallness: at q = 1/kappa the family is never q-small.
 
     Computes kappa, then the exact minimum cover weight at q = min(1, 1/kappa).
@@ -557,9 +520,9 @@ def check_spread_not_small(
     1.  The weight-1 comparison gets ``tol`` of slack because kappa itself is
     a float.
     """
-    sw = spread_of(h, budget=spread_budget)
+    sw = spread_of(h)
     q = min(1.0, 1.0 / sw.kappa)
-    small, cover = is_q_small(h, q, pool_budget=pool_budget, node_budget=node_budget)
+    small, cover = is_q_small(h, q)
     weight = cover_weight(cover.edges, q)
     passed = (not small) and float(weight) >= 1.0 - tol
     details = {

@@ -149,11 +149,10 @@ def _run_process(args: argparse.Namespace, kind: str) -> int:
     h = read_hypergraph(args.path)
     rng = Rng(args.seed)
     if kind == "halving":
-        tr = run_halving(h, args.q, rng, ell_factor=args.L, budget=args.budget)
+        tr = run_halving(h, args.q, rng, ell_factor=args.L)
     elif kind == "retry":
         tr = run_retry(
-            h, args.q, args.eps, rng, ell_factor=args.L,
-            failure_mode=args.failure_mode, budget=args.budget,
+            h, args.q, args.eps, rng, ell_factor=args.L, failure_mode=args.failure_mode
         )
     else:
         tr = run_restart(h, args.q, args.eps, rng)
@@ -279,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps", type=float, required=True)
         p.add_argument("--seed", type=int, default=seed_default)
         p.add_argument("--L", type=float, default=8.0)
-        p.add_argument("--budget", type=int, default=1 << 22)
         if kind == "retry":
             p.add_argument(
                 "--failure-mode", choices=("fragment", "setminus"),

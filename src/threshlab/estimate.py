@@ -41,7 +41,7 @@ from .core import (
     minimize,
     sample_uniform_of_size,
 )
-from .process import FRAGMENT_BUDGET, _fragment_all, _validate_factor, round_sample_size
+from .process import _fragment_all, _validate_factor, round_sample_size
 
 __all__ = [
     "Z95",
@@ -481,7 +481,7 @@ def fragment_weight_samples(
     out = np.zeros((trials, ell))
     for j in range(trials):
         w = sample_uniform_of_size(n, m, rng.substream(j))
-        collapse, frags = _fragment_all(hm.masks, w.mask, FRAGMENT_BUDGET)
+        collapse, frags = _fragment_all(hm.masks, w.mask)
         if collapse is not None:
             continue
         for fm in {f for f in frags if f}:

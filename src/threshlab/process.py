@@ -36,7 +36,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, fsum, log2
@@ -153,9 +153,7 @@ def tiebreaker_recovers_fragment(
 # bulk fragment computation
 
 
-def _fragment_all(
-    lex_edges: Sequence[int], w_mask: int, budget: int
-) -> tuple[int | None, list[int]]:
+def _fragment_all(lex_edges: Sequence[int], w_mask: int) -> tuple[int | None, list[int]]:
     """Fragments of every edge under w, or the collapse edge if one exists.
 
     lex_edges are distinct edge masks in lex order, as the canonical form
@@ -165,7 +163,8 @@ def _fragment_all(
 
     A residual is owned by the first edge in lex_edges with that residual,
     and a fragment is the residual minimizing (size, owner rank), encoded
-    as the one integer size * len(lex_edges) + rank.
+    as the one integer size * len(lex_edges) + rank.  The round's submask
+    visits are checked against FRAGMENT_BUDGET, read at call time.
     """
     keep = ~w_mask
     order: dict[int, int] = {}
@@ -175,9 +174,9 @@ def _fragment_all(
             return m, []  # the first edge inside w owns the empty residual
         order.setdefault(r, r.bit_count() * len(lex_edges) + rank)
     cost = sum(1 << r.bit_count() for r in order)
-    if cost > budget:
+    if cost > FRAGMENT_BUDGET:
         raise ResourceLimitError(
-            f"fragment round needs {cost} submask visits, budget is {budget}"
+            f"fragment round needs {cost} submask visits, budget is {FRAGMENT_BUDGET}"
         )
     frags: list[int] = []
     for m in lex_edges:
@@ -192,7 +191,7 @@ def _fragment_all(
 
 
 def halving_round(
-    h: Hypergraph, w: VertexSet, *, budget: int = FRAGMENT_BUDGET
+    h: Hypergraph, w: VertexSet
 ) -> tuple[VertexSet | None, tuple[VertexSet, ...]]:
     """One bulk fragmentation step at the hypergraph level.
 
@@ -202,11 +201,19 @@ def halving_round(
     line up with h.edges.
     """
     lex_edges = sorted(set(h.masks), key=lex_key)
-    collapse, frags = _fragment_all(lex_edges, w.mask, budget)
+    collapse, frags = _fragment_all(lex_edges, w.mask)
     if collapse is not None:
         return VertexSet(collapse), ()
     frag_of = dict(zip(lex_edges, frags))
     return None, tuple(VertexSet(frag_of[m]) for m in h.masks)
+
+
+def _split(frags: Sequence[int], half: int) -> tuple[list[int], list[int]]:
+    """The distinct fragments in lex order, split into the would-be exiles
+    (larger than half) and the survivors."""
+    exiled = sorted({f for f in frags if f.bit_count() > half}, key=lex_key)
+    survivors = sorted({f for f in frags if f.bit_count() <= half}, key=lex_key)
+    return exiled, survivors
 
 
 # ---------------------------------------------------------------------------
@@ -259,68 +266,6 @@ class ProcessTrace:
     successes: int
 
 
-def _finish_trace(
-    *,
-    variant: str,
-    horig: Hypergraph,
-    q: float,
-    eps: float | None,
-    ell_start: int,
-    planned: int,
-    rounds: list[RoundRecord],
-    found: bool,
-    found_edge: VertexSet | None,
-    total_w: int,
-    u_masks: set[int],
-    successes: int,
-) -> ProcessTrace:
-    tw = VertexSet(total_w)
-    u_edges = tuple(VertexSet(m) for m in sorted(u_masks, key=lex_key))
-    u_weight = float(cover_weight(u_edges, q)) if u_edges else 0.0
-    contained = contains_edge(horig, tw)
-    u_under = undercovers(Hypergraph(horig.ground_size, u_edges), horig)
-    if found and not contained:
-        raise ProcessInvariantError(
-            "found run without any original edge inside the union of the W's"
-        )
-    return ProcessTrace(
-        variant=variant,
-        ground_size=horig.ground_size,
-        q=q,
-        eps=eps,
-        ell_start=ell_start,
-        planned_rounds=planned,
-        rounds=tuple(rounds),
-        found=found,
-        found_edge=found_edge,
-        total_w=tw,
-        u_edges=u_edges,
-        u_weight=u_weight,
-        contained=contained,
-        u_undercovers=u_under,
-        dichotomy_ok=found != u_under,
-        successes=successes,
-    )
-
-
-def _check_entry(h: Hypergraph) -> Hypergraph:
-    """Canonicalize the input: processes run on the minimized hypergraph,
-    which has the same upward closure and so the same containment events."""
-    if not h.edges:
-        raise ValueError("fragmentation needs at least one edge")
-    hd = minimize(h)
-    if hd.has_empty_edge():
-        raise TrivialHypergraphError(
-            "the empty edge is inside every W; fragmentation is vacuous"
-        )
-    return hd
-
-
-def _per_t_weights(ex_masks: Sequence[int], q: float) -> tuple[tuple[int, float], ...]:
-    counts = Counter(m.bit_count() for m in ex_masks)
-    return tuple((t, (q**t) * c) for t, c in sorted(counts.items()))
-
-
 def round_sample_size(ell_factor: float, q: float, ground_remaining: int) -> int:
     """ceil(L * q * n) capped at n, with the product taken exactly.
 
@@ -355,9 +300,113 @@ def _lift_sample(active_mask: int, picked: VertexSet) -> int:
     return _mask_from_bits(bits)
 
 
-def _validate_q(q: float) -> None:
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
+class _Run:
+    """The state of one process run, shared by the three processes.
+
+    Processes run on the minimized input, which has the same upward closure
+    and so the same containment events.  Next to it the state holds the
+    unsampled ground (active), the union of the W's, the round records, the
+    found edge and the exiled family U, all as masks.
+    """
+
+    def __init__(self, h: Hypergraph, q: float, rng: Rng, ell_factor: float = 8) -> None:
+        if not 0.0 < q < 1.0:
+            raise ValueError("q must lie in (0, 1)")
+        _validate_factor(ell_factor)
+        if not h.edges:
+            raise ValueError("fragmentation needs at least one edge")
+        self.hd = minimize(h)
+        if self.hd.has_empty_edge():
+            raise TrivialHypergraphError(
+                "the empty edge is inside every W; fragmentation is vacuous"
+            )
+        self.q = q
+        self.rng = rng
+        self.ell_factor = float(ell_factor)
+        self.ell_start = self.hd.max_edge_size()
+        self.active = VertexSet.full(self.hd.ground_size).mask
+        self.total_w = 0
+        self.rounds: list[RoundRecord] = []
+        self.found_edge: int | None = None
+        self.u_masks: set[int] = set()
+
+    def take(self, picked: VertexSet) -> int:
+        """Lift a sample drawn on the unsampled ground onto it; the lifted W
+        joins the union of the W's and leaves the ground."""
+        w = _lift_sample(self.active, picked)
+        self.total_w |= w
+        self.active &= ~w
+        return w
+
+    def fragment_round(
+        self, i: int, cur: Sequence[int]
+    ) -> tuple[int, int, int | None, list[int]]:
+        """Round i of a fragmenting process: sample W of the round size
+        uniformly from the unsampled ground and fragment cur (distinct masks
+        in lex order) under it.  Returns the ground size before the draw, W,
+        and the collapse edge and fragments as _fragment_all gives them."""
+        n_rem = self.active.bit_count()
+        m = round_sample_size(self.ell_factor, self.q, n_rem)
+        w = self.take(sample_uniform_of_size(n_rem, m, self.rng.substream(i)))
+        return (n_rem, w, *_fragment_all(cur, w))
+
+    def record(
+        self, i: int, ell: int, n_rem: int, w: int, outcome: str,
+        exiles: Sequence[int] = (), *, exile: bool = True,
+        threshold: float | None = None, survivors: int = 0,
+    ) -> None:
+        """Record round i.  exiles are the round's would-be exiles in lex
+        order, weighed per size as RoundRecord says; unless exile is False
+        they also join U."""
+        per_t: tuple[tuple[int, float], ...] = ()
+        ex_sets: tuple[VertexSet, ...] = ()
+        weight = 0.0
+        if exiles:
+            counts = Counter(m.bit_count() for m in exiles)
+            per_t = tuple((t, (self.q**t) * c) for t, c in sorted(counts.items()))
+            weight = fsum(v for _, v in per_t)
+            if exile:
+                self.u_masks.update(exiles)
+                ex_sets = tuple(VertexSet(f) for f in exiles)
+        self.rounds.append(RoundRecord(
+            i, ell, n_rem, VertexSet(w), ex_sets, weight,
+            outcome, self.ell_factor, per_t, threshold, survivors,
+        ))
+
+    def finish(
+        self, variant: str, eps: float | None, planned: int, success: str
+    ) -> ProcessTrace:
+        """The trace of the run; its successes are the rounds whose outcome
+        is success."""
+        hd = self.hd
+        tw = VertexSet(self.total_w)
+        u_edges = tuple(VertexSet(m) for m in sorted(self.u_masks, key=lex_key))
+        u_weight = float(cover_weight(u_edges, self.q)) if u_edges else 0.0
+        contained = contains_edge(hd, tw)
+        u_under = undercovers(Hypergraph(hd.ground_size, u_edges), hd)
+        found = self.found_edge is not None
+        if found and not contained:
+            raise ProcessInvariantError(
+                "found run without any original edge inside the union of the W's"
+            )
+        return ProcessTrace(
+            variant=variant,
+            ground_size=hd.ground_size,
+            q=self.q,
+            eps=eps,
+            ell_start=self.ell_start,
+            planned_rounds=planned,
+            rounds=tuple(self.rounds),
+            found=found,
+            found_edge=None if self.found_edge is None else VertexSet(self.found_edge),
+            total_w=tw,
+            u_edges=u_edges,
+            u_weight=u_weight,
+            contained=contained,
+            u_undercovers=u_under,
+            dichotomy_ok=found != u_under,
+            successes=[r.outcome for r in self.rounds].count(success),
+        )
 
 
 def run_halving(
@@ -366,7 +415,6 @@ def run_halving(
     rng: Rng,
     *,
     ell_factor: int = 8,
-    budget: int = FRAGMENT_BUDGET,
 ) -> ProcessTrace:
     """Fragment with a halving exile rule until edge sizes reach zero.
 
@@ -378,79 +426,27 @@ def run_halving(
     or when nothing is left to fragment.  Without found, U provably
     undercovers the input.
     """
-    _validate_q(q)
-    _validate_factor(ell_factor)
-    hd = _check_entry(h)
-    ell_start = hd.max_edge_size()
-    planned = ell_start.bit_length()
-    active = VertexSet.full(hd.ground_size).mask
-    cur: list[int] = list(hd.masks)
-    u_masks: set[int] = set()
-    rounds: list[RoundRecord] = []
-    total_w = 0
-    found = False
-    found_edge: VertexSet | None = None
-    ell = ell_start
+    run = _Run(h, q, rng, ell_factor)
+    planned = run.ell_start.bit_length()
+    cur: list[int] = list(run.hd.masks)
+    ell = run.ell_start
     for i in range(1, planned + 1):
         if not cur:
             break
-        n_rem = active.bit_count()
-        m = round_sample_size(ell_factor, q, n_rem)
-        w = _lift_sample(active, sample_uniform_of_size(n_rem, m, rng.substream(i)))
-        total_w |= w
-        active &= ~w
-        collapse, frags = _fragment_all(cur, w, budget)
+        n_rem, w, collapse, frags = run.fragment_round(i, cur)
         if collapse is not None:
-            found = True
-            found_edge = VertexSet(collapse)
-            rounds.append(
-                RoundRecord(
-                    i, ell, n_rem, VertexSet(w), (), 0.0, "found",
-                    ell_factor=float(ell_factor),
-                )
-            )
+            run.found_edge = collapse
+            run.record(i, ell, n_rem, w, "found")
             break
-        half = ell // 2
-        exiled = sorted({f for f in frags if f.bit_count() > half}, key=lex_key)
-        survivors = sorted({f for f in frags if f.bit_count() <= half}, key=lex_key)
         for f in frags:
             if f.bit_count() > ell:
                 raise ProcessInvariantError("fragment exceeds the round size bound")
-        u_masks.update(exiled)
-        ex_sets = tuple(VertexSet(f) for f in exiled)
-        per_t = _per_t_weights(exiled, q)
-        rounds.append(
-            RoundRecord(
-                i,
-                ell,
-                n_rem,
-                VertexSet(w),
-                ex_sets,
-                fsum(v for _, v in per_t),
-                "ok",
-                ell_factor=float(ell_factor),
-                per_t_weight=per_t,
-                survivor_count=len(survivors),
-            )
-        )
-        cur = survivors
-        ell = half
-    if not found and cur:
+        exiled, cur = _split(frags, ell // 2)
+        run.record(i, ell, n_rem, w, "ok", exiled, survivors=len(cur))
+        ell //= 2
+    if run.found_edge is None and cur:
         raise ProcessInvariantError("edges survived the full halving schedule")
-    trace = _finish_trace(
-        variant="halving",
-        horig=hd,
-        q=q,
-        eps=None,
-        ell_start=ell_start,
-        planned=planned,
-        rounds=rounds,
-        found=found,
-        found_edge=found_edge,
-        total_w=total_w,
-        u_masks=u_masks,
-        successes=sum(1 for r in rounds if r.outcome == "ok"),
-    )
+    trace = run.finish("halving", None, planned, "ok")
     if not trace.found and not trace.u_undercovers:
         raise ProcessInvariantError(
             "halving run ended without found and without undercovering"
@@ -500,7 +496,6 @@ def run_retry(
     *,
     ell_factor: int = 8,
     failure_mode: str = "fragment",
-    budget: int = FRAGMENT_BUDGET,
 ) -> ProcessTrace:
     """Fixed-budget fragmentation that retries rounds with heavy exile.
 
@@ -519,83 +514,40 @@ def run_retry(
     failure_mode "setminus" replaces edges by S minus W on failure instead
     of by their fragments; both keep every theory guarantee checked here.
     """
-    _validate_q(q)
-    _validate_factor(ell_factor)
     if failure_mode not in ("fragment", "setminus"):
         raise ValueError("failure_mode must be 'fragment' or 'setminus'")
-    hd = _check_entry(h)
-    ell_start = hd.max_edge_size()
-    planned = retry_round_count(ell_start, eps)
-    active = VertexSet.full(hd.ground_size).mask
-    cur: list[int] = list(hd.masks)
-    u_masks: set[int] = set()
-    rounds: list[RoundRecord] = []
-    total_w = 0
-    found = False
-    found_edge: VertexSet | None = None
-    ell = ell_start
-    successes = 0
+    run = _Run(h, q, rng, ell_factor)
+    planned = retry_round_count(run.ell_start, eps)
+    cur: list[int] = list(run.hd.masks)
+    ell = run.ell_start
     threshold_sum = Fraction(0)
     for i in range(1, planned + 1):
-        n_rem = active.bit_count()
         if not cur or all(m == 0 for m in cur) or ell < 1:
-            rounds.append(
-                RoundRecord(
-                    i, ell, n_rem, VertexSet(0), (), 0.0, "success",
-                    ell_factor=float(ell_factor), survivor_count=len(cur),
-                )
-            )
-            successes += 1
+            run.record(i, ell, run.active.bit_count(), 0, "success", survivors=len(cur))
             ell //= 2
             continue
-        m = round_sample_size(ell_factor, q, n_rem)
-        w = _lift_sample(active, sample_uniform_of_size(n_rem, m, rng.substream(i)))
-        total_w |= w
-        active &= ~w
-        collapse, frags = _fragment_all(cur, w, budget)
+        n_rem, w, collapse, frags = run.fragment_round(i, cur)
+        thr = retry_round_threshold(ell, ell_factor)
         if collapse is not None:
-            if not found:
-                found = True
-                found_edge = VertexSet(collapse)
+            if run.found_edge is None:
+                run.found_edge = collapse
             # Every fragment is empty: a weightless, trivially successful
             # filter round.  The process keeps to its fixed schedule.
-            thr = retry_round_threshold(ell, ell_factor)
-            rounds.append(
-                RoundRecord(
-                    i, ell, n_rem, VertexSet(w), (), 0.0, "success",
-                    ell_factor=float(ell_factor), threshold=float(thr),
-                    survivor_count=1,
-                )
-            )
+            run.record(i, ell, n_rem, w, "success", threshold=float(thr), survivors=1)
             threshold_sum += thr
-            successes += 1
             cur = [0]
             ell //= 2
             continue
-        half = ell // 2
-        exiled = sorted({f for f in frags if f.bit_count() > half}, key=lex_key)
-        ex_sets = tuple(VertexSet(f) for f in exiled)
-        ex_weight = cover_weight(ex_sets, q) if ex_sets else Fraction(0)
-        thr = retry_round_threshold(ell, ell_factor)
-        per_t = _per_t_weights(exiled, q)
+        exiled, survivors = _split(frags, ell // 2)
+        ex_weight = cover_weight([VertexSet(f) for f in exiled], q) if exiled else 0
         if ex_weight <= thr:
-            u_masks.update(exiled)
             threshold_sum += thr
-            survivors = sorted(
-                {f for f in frags if f.bit_count() <= half}, key=lex_key
-            )
-            rounds.append(
-                RoundRecord(
-                    i, ell, n_rem, VertexSet(w), ex_sets,
-                    fsum(v for _, v in per_t),
-                    "success", ell_factor=float(ell_factor),
-                    per_t_weight=per_t, threshold=float(thr),
-                    survivor_count=len(survivors),
-                )
+            run.record(
+                i, ell, n_rem, w, "success", exiled,
+                threshold=float(thr), survivors=len(survivors),
             )
             cur = survivors
-            ell = half
-            successes += 1
+            ell //= 2
         else:
             # The heavy would-be exile family is recorded (weights) but kept
             # in play: nothing joins U on failure.
@@ -603,33 +555,14 @@ def run_retry(
                 kept = sorted(set(frags), key=lex_key)
             else:
                 kept = sorted({mk & ~w for mk in cur}, key=lex_key)
-            rounds.append(
-                RoundRecord(
-                    i, ell, n_rem, VertexSet(w), (),
-                    fsum(v for _, v in per_t),
-                    "failure", ell_factor=float(ell_factor),
-                    per_t_weight=per_t, threshold=float(thr),
-                    survivor_count=len(kept),
-                )
+            run.record(
+                i, ell, n_rem, w, "failure", exiled, exile=False,
+                threshold=float(thr), survivors=len(kept),
             )
             cur = kept
-    needed = ell_start.bit_length()
-    if (ell < 1) != (successes >= needed):
+    trace = run.finish("retry", eps, planned, "success")
+    if (ell < 1) != (trace.successes >= run.ell_start.bit_length()):
         raise ProcessInvariantError("size-bound schedule out of step with successes")
-    trace = _finish_trace(
-        variant="retry",
-        horig=hd,
-        q=q,
-        eps=eps,
-        ell_start=ell_start,
-        planned=planned,
-        rounds=rounds,
-        found=found,
-        found_edge=found_edge,
-        total_w=total_w,
-        u_masks=u_masks,
-        successes=successes,
-    )
     u_exact = cover_weight(trace.u_edges, q) if trace.u_edges else Fraction(0)
     if u_exact > threshold_sum:
         raise ProcessInvariantError("exiled family outweighs its round thresholds")
@@ -680,96 +613,46 @@ def run_restart(
     by definition, so found and contained always agree, and each attempt
     succeeds with probability at least 1/2 when q is small enough for h.
     """
-    _validate_q(q)
-    hd = _check_entry(h)
-    ell_start = hd.max_edge_size()
+    run = _Run(h, q, rng)
     planned = restart_attempt_count(eps)
-    p = restart_rate(ell_start, q)
-    active = VertexSet.full(hd.ground_size).mask
-    total_w = 0
-    rounds: list[RoundRecord] = []
-    found = False
-    found_edge: VertexSet | None = None
+    p = restart_rate(run.ell_start, q)
     for i in range(1, planned + 1):
-        n_rem = active.bit_count()
-        w = _lift_sample(active, sample_bernoulli(n_rem, p, rng.substream(i)))
-        total_w |= w
-        active &= ~w
+        n_rem = run.active.bit_count()
+        w = run.take(sample_bernoulli(n_rem, p, rng.substream(i)))
         # The canonical masks are in lex order, so the first edge inside
         # the union is the lexicographically least one.
-        outside = ~total_w
-        hit = next((e for e in hd.masks if e & outside == 0), None)
-        rounds.append(
-            RoundRecord(
-                i, ell_start, n_rem, VertexSet(w), (), 0.0,
-                "miss" if hit is None else "found",
-            )
+        outside = ~run.total_w
+        run.found_edge = next((e for e in run.hd.masks if e & outside == 0), None)
+        run.record(
+            i, run.ell_start, n_rem, w, "miss" if run.found_edge is None else "found"
         )
-        if hit is not None:
-            found = True
-            found_edge = VertexSet(hit)
+        if run.found_edge is not None:
             break
-    trace = _finish_trace(
-        variant="restart",
-        horig=hd,
-        q=q,
-        eps=eps,
-        ell_start=ell_start,
-        planned=planned,
-        rounds=rounds,
-        found=found,
-        found_edge=found_edge,
-        total_w=total_w,
-        u_masks=set(),
-        successes=sum(1 for r in rounds if r.outcome == "found"),
-    )
+    trace = run.finish("restart", eps, planned, "found")
     if trace.found != trace.contained:
         raise ProcessInvariantError("restart found flag out of step with containment")
     return trace
+
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _trace_payload(trace: ProcessTrace) -> dict:
-    return {
-        "variant": trace.variant,
-        "ground_size": trace.ground_size,
-        "q": trace.q,
-        "eps": trace.eps,
-        "ell_start": trace.ell_start,
-        "planned_rounds": trace.planned_rounds,
-        "found": trace.found,
-        "found_edge": list(trace.found_edge.indices()) if trace.found_edge else None,
-        "total_w": list(trace.total_w.indices()),
-        "u_edges": [list(e.indices()) for e in trace.u_edges],
-        "u_weight": trace.u_weight,
-        "contained": trace.contained,
-        "u_undercovers": trace.u_undercovers,
-        "dichotomy_ok": trace.dichotomy_ok,
-        "successes": trace.successes,
-        "rounds": [
-            {
-                "index": r.index,
-                "ell": r.ell,
-                "ground_remaining": r.ground_remaining,
-                "w": list(r.w.indices()),
-                "exiled": [list(e.indices()) for e in r.exiled],
-                "exiled_weight": r.exiled_weight,
-                "outcome": r.outcome,
-                "ell_factor": r.ell_factor,
-                "per_t_weight": [[t, v] for t, v in r.per_t_weight],
-                "threshold": r.threshold,
-                "survivor_count": r.survivor_count,
-            }
-            for r in trace.rounds
-        ],
-    }
+def _plain(value):
+    """A trace or one of its fields as JSON data: vertex sets become index
+    lists, traces and round records dicts keyed by field name."""
+    if isinstance(value, VertexSet):
+        return list(value.indices())
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def trace_to_json(trace: ProcessTrace) -> str:
-    return json.dumps(_trace_payload(trace), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_plain(trace), sort_keys=True, indent=2) + "\n"
 
 
 def trace_rounds_to_csv(trace: ProcessTrace) -> str:

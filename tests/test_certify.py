@@ -10,11 +10,13 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import threshlab.certify as certify
 from threshlab.certify import (
     Cover,
     check_spread_not_small,
@@ -212,6 +214,7 @@ def test_min_cover_weight_frozen_exact(h, q, expected):
 
 
 GRID_QS = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0)
+ORACLE_ASSIGNMENTS = 1 << 16
 
 
 @pytest.mark.parametrize(
@@ -244,9 +247,12 @@ def test_random_instances_agree_across_all_routes(data):
     )
     q = data.draw(st.sampled_from((0.15, 0.33, 0.5, 0.8)))
     h = Hypergraph.from_masks(n, masks)
+    # Only instances the enumeration oracle can afford: it assigns each
+    # minimized edge one of its 2^|S| submasks.
+    assume(prod(1 << m.bit_count() for m in minimize(h).masks) <= ORACLE_ASSIGNMENTS)
     w, witness = min_cover_weight(h, q)
     assert w == dp_min_cover_weight(h, q)
-    we, _ = exhaustive_min_cover_weight(h, q, max_assignments=1 << 16)
+    we, _ = exhaustive_min_cover_weight(h, q, max_assignments=ORACLE_ASSIGNMENTS)
     assert w == we
     assert cover_weight(witness, q) == w
     assert undercovers(Hypergraph(n, witness), h)
@@ -270,14 +276,23 @@ def test_threshold_ignores_padding_and_redundant_edges():
 # resource limits and degenerate inputs
 
 
-def test_pool_budget_enforced():
+def test_pool_budget_enforced(monkeypatch):
+    # The first call builds and caches the pool; the budget read at call
+    # time must still refuse it.
+    min_cover_weight(triangles(4), 0.3)
+    monkeypatch.setattr(certify, "POOL_BUDGET", 10)
     with pytest.raises(ResourceLimitError):
-        min_cover_weight(triangles(4), 0.3, pool_budget=10)
+        min_cover_weight(triangles(4), 0.3)
+    with pytest.raises(ResourceLimitError):
+        max_small_q(triangles(4))
 
 
-def test_node_budget_enforced():
+def test_node_budget_enforced(monkeypatch):
+    monkeypatch.setattr(certify, "NODE_BUDGET", 0)
     with pytest.raises(ResourceLimitError):
-        min_cover_weight(triangles(5), 0.3, node_budget=0)
+        min_cover_weight(triangles(5), 0.3)
+    with pytest.raises(ResourceLimitError):
+        check_spread_not_small(triangles(4))
 
 
 def test_cover_search_leaves_the_recursion_limit_alone(monkeypatch):
@@ -371,13 +386,14 @@ def test_spread_counts_distinct_edges_only():
     assert spread_of(h).edge_total == 2
 
 
-def test_spread_degenerate_inputs():
+def test_spread_degenerate_inputs(monkeypatch):
     with pytest.raises(ValueError):
         spread_of(Hypergraph(2))
     with pytest.raises(ValueError):
         spread_of(hg(2, ()))
+    monkeypatch.setattr(certify, "SPREAD_BUDGET", 10)
     with pytest.raises(ResourceLimitError):
-        spread_of(triangles(4), budget=10)
+        spread_of(triangles(4))
 
 
 def test_check_spread_not_small_on_uniform_instance():

@@ -165,6 +165,20 @@ def test_pc_refuses_large_ground(tmp_path, capsys):
     assert "resource limit:" in err
 
 
+def test_search_budgets_are_fixed_and_exit_2(tmp_path, capsys):
+    # One 24-vertex edge: a fragment round needs 2^23 submask visits (budget
+    # 2^22) and the cover search's pool 2^24 (budget 2^18).
+    path = tmp_path / "wide.txt"
+    path.write_text("n 24\n" + " ".join(map(str, range(24))) + "\n")
+    code, _, err = run(capsys, "run-halving", str(path), "--q", "0.001")
+    assert code == 2 and "resource limit:" in err
+    code, _, err = run(capsys, "qsmall", str(path))
+    assert code == 2 and "resource limit:" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["run-halving", str(path), "--q", "0.001", "--budget", "1"])
+    assert exc.value.code == 2
+
+
 def test_run_halving_summary_line(tmp_path, capsys):
     path = tmp_path / "s8.txt"
     run(capsys, "gen", "sunflower", "0", "8", "2", "--out", str(path))

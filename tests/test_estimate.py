@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import threshlab.estimate as estimate
+import threshlab.process as process
 from threshlab.core import Hypergraph, ResourceLimitError, Rng
 from threshlab.estimate import (
     EXACT_GROUND_LIMIT,
@@ -359,7 +360,11 @@ def test_fragment_weight_samples_shape_and_determinism():
     assert (a == b).all()
 
 
-def test_fragment_weight_samples_validation():
+def test_fragment_weight_samples_validation(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(process, "FRAGMENT_BUDGET", 1)
+        with pytest.raises(ResourceLimitError):
+            fragment_weight_samples(triangles(5), 0.01, Rng(0), trials=1)
     with pytest.raises(ValueError):
         fragment_weight_samples(triangles(5), 0.0, Rng(0))
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ test, and the process is deterministic given (instance, q, eps, seed), so
 these are exact regressions rather than statistical claims.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threshlab import process
 from threshlab.core import (
     Hypergraph,
     ResourceLimitError,
@@ -187,10 +189,12 @@ def test_halving_round_collapse_edge_is_lex_least():
     assert frags == ()
 
 
-def test_halving_round_budget():
+def test_halving_round_budget(monkeypatch):
+    # The budget is read when a round runs, so a patched constant applies.
+    monkeypatch.setattr(process, "FRAGMENT_BUDGET", 1)
     h = sunflower(0, 8, 2)
     with pytest.raises(ResourceLimitError):
-        halving_round(h, VertexSet(), budget=1)
+        halving_round(h, VertexSet())
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +329,13 @@ def test_halving_is_deterministic_and_minimization_invariant():
     assert trace_to_json(run_halving(h, 0.01, Rng(2))) != a
 
 
-def test_halving_budget_and_validation():
-    with pytest.raises(ResourceLimitError):
-        run_halving(sunflower(0, 8, 2), 0.01, Rng(0), budget=1)
+def test_halving_budget_and_validation(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(process, "FRAGMENT_BUDGET", 1)
+        with pytest.raises(ResourceLimitError):
+            run_halving(sunflower(0, 8, 2), 0.01, Rng(0))
+        with pytest.raises(ResourceLimitError):
+            run_retry(sunflower(0, 8, 2), 0.01, 0.5, Rng(0))
     with pytest.raises(ValueError):
         run_halving(singletons(2), 0.0, Rng(0))
     with pytest.raises(ValueError):
@@ -482,3 +490,78 @@ def test_process_invariant_error_is_importable():
     # the error type is part of the public surface even though a correct
     # engine never raises it
     assert issubclass(ProcessInvariantError, Exception)
+
+
+# ---------------------------------------------------------------------------
+# whole traces, byte for byte
+
+
+def _cliques_on(n, *cores):
+    """Pairs of a clique on each run of vertices, on a ground of size n."""
+    edges = []
+    start = 0
+    for k in cores:
+        edges += combinations(range(start, start + k), 2)
+        start += k
+    return Hypergraph.from_edge_lists(n, edges)
+
+
+# (instance, q, ell_factor, seeds).  Two disjoint 12-cliques at seed 2 fail
+# retry round 1 at both factors: W misses the second clique, whose pairs are
+# the heavy exiles, and meets the first in one vertex, whose other pairs
+# fragment to singletons, so the "fragment" and "setminus" modes keep
+# different families.  The padded 6-clique at seed 22 fails round 1 too
+# (test_retry_failure_round_frozen).
+PINNED_CELLS = (
+    (sunflower(0, 8, 2), 0.01, 8, (0, 1, 2)),
+    (sunflower(0, 8, 2), 0.05, 3.5, (0, 1, 2)),
+    (sunflower(1, 4, 3), 0.05, 8, (0, 1, 2)),
+    (triangles(5), 0.05, 3.5, (0, 1, 2)),
+    (_cliques_on(200, 6), 0.05, 8, (22,)),
+    (_cliques_on(50, 12, 12), 0.0225, 8, (2,)),
+    (_cliques_on(50, 12, 12), 0.18 / 3.5, 3.5, (2,)),
+)
+
+# sha256 of the JSON and CSV text of every trace of one variant over
+# PINNED_CELLS, in order.
+PINNED_DIGESTS = {
+    "halving": "1a81ddcc0410b03aa40344dad3fdc8a590d35ae33bdd87731ca87def9f7ed88b",
+    "retry-fragment": "8f6ff67a5bfba5cb9fbec93f57a5111cfc17f3c5cafc673ce81d5a8d68a1c157",
+    "retry-setminus": "fc8e36f2f4ab83f1b90fc8d52d50c275c0f091c1244b617199799ae35b6ac404",
+    "restart": "55ad500da0d54bcc6a84261e614fbfec71c348d07c06311fd7bb82058ab8c66e",
+}
+
+
+def _pinned_traces():
+    out = {name: [] for name in PINNED_DIGESTS}
+    for h, q, factor, seeds in PINNED_CELLS:
+        for seed in seeds:
+            out["halving"].append(run_halving(h, q, Rng(seed), ell_factor=factor))
+            for mode in ("fragment", "setminus"):
+                out[f"retry-{mode}"].append(
+                    run_retry(h, q, 0.25, Rng(seed), ell_factor=factor, failure_mode=mode)
+                )
+            out["restart"].append(run_restart(h, q, 0.25, Rng(seed)))
+    return out
+
+
+def test_pinned_traces_are_byte_identical():
+    traces = _pinned_traces()
+    digests = {}
+    for name, trs in traces.items():
+        text = "".join(trace_to_json(tr) + trace_rounds_to_csv(tr) for tr in trs)
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == PINNED_DIGESTS
+    # The grid reaches every branch the digests are meant to pin.
+    for name in ("halving", "retry-fragment", "retry-setminus"):
+        assert any(r.exiled for tr in traces[name] for r in tr.rounds)
+        assert any(tr.found for tr in traces[name])
+        assert any(not tr.found for tr in traces[name])
+    for mode in ("fragment", "setminus"):
+        assert any(r.outcome == "failure" for tr in traces[f"retry-{mode}"] for r in tr.rounds)
+    assert any(
+        trace_to_json(a) != trace_to_json(b)
+        for a, b in zip(traces["retry-fragment"], traces["retry-setminus"])
+    )
+    assert {r.ell_factor for tr in traces["retry-fragment"] for r in tr.rounds} == {8.0, 3.5}
+    assert {tr.found for tr in traces["restart"]} == {True, False}
