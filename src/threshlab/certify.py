@@ -9,10 +9,11 @@ witnessed by an explicit cover and "not small" answers are exhaustive.
 Only subsets of edges matter as cover members: a member covering nothing can
 be dropped, and one covering edge S can be replaced by nothing heavier than
 a subset of S.  The candidate pool is therefore the set of submasks of the
-inclusion-minimal edges.  The search is branch and bound over that pool:
-bounds are compared in floating point with a guard band for speed, and any
-comparison inside the guard band is re-run in exact rational arithmetic, so
-the returned minimum is exact.  The witness cover is the first optimum the
+inclusion-minimal edges.  The search is branch and bound over that pool in
+one exact integer arithmetic: with q = a/d, every weight is scaled by d^S
+for the largest member size S, ratios are compared by cross products and
+bound sums over a common denominator, so every pruning decision and the
+returned minimum are exact.  The witness cover is the first optimum the
 deterministic search order reaches.
 
 The independent oracle `exhaustive_min_cover_weight` enumerates, for every
@@ -27,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, prod
+from math import lcm, prod
 
 from .core import (
     MAX_GROUND_SIZE,
@@ -66,10 +67,6 @@ __all__ = [
 POOL_BUDGET = 1 << 18
 NODE_BUDGET = 2_000_000
 SPREAD_BUDGET = 1 << 22
-
-# Bound comparisons this close to the incumbent are re-decided exactly.
-# Float bound error is bounded by ~1e-12 for desk-scale sums, far below it.
-_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -156,23 +153,24 @@ def _pool_for(hm: Hypergraph) -> _Pool:
 # ---------------------------------------------------------------------------
 # exact minimum cover weight
 
-_GREEDY_POOL_LIMIT = 5000
+# The greedy incumbent costs one pass over the pool per pick; it runs only
+# while the pool size times the edge count stays within this many pairs.
+_GREEDY_PAIR_LIMIT = 50_000
 
 
-def _greedy_cover(pool: _Pool, w_float: list[float], full: int) -> list[int]:
+def _greedy_cover(pool: _Pool, cand_w: list[int], full: int) -> list[int]:
     covered = 0
     picks: list[int] = []
     while covered != full:
-        best_i = -1
-        best_ratio = float("inf")
+        # Least weight per newly covered edge, ratios compared by cross
+        # products; 1/0 stands for +infinity.
+        best_i, best_w, best_n = -1, 1, 0
         for i, cov in enumerate(pool.cand_covers):
             new = (cov & ~covered).bit_count()
             if new == 0:
                 continue
-            ratio = w_float[pool.cand_sizes[i]] / new
-            if ratio < best_ratio:
-                best_ratio = ratio
-                best_i = i
+            if cand_w[i] * best_n < best_w * new:
+                best_i, best_w, best_n = i, cand_w[i], new
         picks.append(best_i)
         covered |= pool.cand_covers[best_i]
     return picks
@@ -200,93 +198,82 @@ def min_cover_weight(h: Hypergraph, q: float) -> tuple[Fraction, tuple[VertexSet
         )
     node_budget = NODE_BUDGET
     pool = _pool_for(hm)
-    qf = Fraction(q)
+    # With q = a/d and S the largest member size, a member of size s weighs
+    # w[s] = a^s * d^(S-s), which is q^s * d^S: every weight, partial sum
+    # and incumbent below is an integer over the one denominator d^S.
+    a, d = Fraction(q).as_integer_ratio()
     max_size = max(pool.cand_sizes)
-    w_exact = [qf**s for s in range(max_size + 1)]
-    w_float = [float(w) for w in w_exact]
+    w = [a**s * d ** (max_size - s) for s in range(max_size + 1)]
+    cand_w = [w[s] for s in pool.cand_sizes]
     edge_count = hm.edge_count
     full = (1 << edge_count) - 1
 
-    def exact_of(picks) -> Fraction:
-        return sum((w_exact[pool.cand_sizes[i]] for i in picks), Fraction(0))
-
     # Incumbents: the whole minimized edge set always covers, and so does
-    # the single empty set (weight 1).  A greedy pass sharpens this when the
-    # pool is small enough to afford it.
+    # the single empty set (weight 1, which is w[0]).  A greedy pass
+    # sharpens this when the pool is small enough to afford it.
     best_picks = [pool.index[m] for m in hm.masks]
-    best_exact = exact_of(best_picks)
-    if Fraction(1) < best_exact:
-        best_picks, best_exact = [pool.index[0]], Fraction(1)
-    if len(pool.cand_masks) * edge_count <= _GREEDY_POOL_LIMIT * 10:
-        g = _greedy_cover(pool, w_float, full)
-        ge = exact_of(g)
-        if ge < best_exact:
-            best_picks, best_exact = g, ge
-    best_float = float(best_exact)
+    best = sum(cand_w[i] for i in best_picks)
+    if w[0] < best:
+        best_picks, best = [pool.index[0]], w[0]
+    if len(pool.cand_masks) * edge_count <= _GREEDY_PAIR_LIMIT:
+        g = _greedy_cover(pool, cand_w, full)
+        gw = sum(cand_w[i] for i in g)
+        if gw < best:
+            best_picks, best = g, gw
 
     nodes = 0
-
-    def lower_bound(covered: int, partial: float | Fraction, w: list) -> float | Fraction:
-        """partial plus, for each uncovered edge, the least weight per
-        newly covered edge among its candidates; w is w_float or w_exact,
-        and the bound is computed in its arithmetic."""
-        lb = partial
-        unc = full & ~covered
-        rem = unc
-        while rem:
-            low = rem & -rem
-            j = low.bit_length() - 1
-            rem ^= low
-            best = inf  # compares with floats and Fractions alike
-            for i in pool.by_edge[j]:
-                r = w[pool.cand_sizes[i]] / (pool.cand_covers[i] & unc).bit_count()
-                if r < best:
-                    best = r
-            lb += best
-        return lb
-
     chosen: list[int] = []
 
-    def visit(covered: int, partial_f: float) -> tuple[int, ...]:
-        """Count and bound the node reached by `chosen`; return the
-        candidates to branch on in search order, none if it is complete or
-        pruned."""
-        nonlocal nodes, best_picks, best_exact, best_float
+    def visit(covered: int, partial: int) -> tuple[int, ...]:
+        """Count and bound the node reached by `chosen`, whose weight is
+        `partial`; return the candidates to branch on in search order, none
+        if it is complete or pruned."""
+        nonlocal nodes, best_picks, best
         nodes += 1
         if nodes > node_budget:
             raise ResourceLimitError(
                 f"cover search exceeded node budget {node_budget}"
             )
         if covered == full:
-            ex = exact_of(chosen)
-            if ex < best_exact:
-                best_picks, best_exact, best_float = list(chosen), ex, float(ex)
+            if partial < best:
+                best_picks, best = list(chosen), partial
             return ()
-        lb = lower_bound(covered, partial_f, w_float)
-        if lb > best_float + _GUARD:
-            return ()
-        if lb >= best_float - _GUARD:
-            # Too close to call in floats; decide exactly.
-            if lower_bound(covered, exact_of(chosen), w_exact) >= best_exact:
-                return ()
-        # Branch on the uncovered edge with the fewest candidates.
+        # The bound is partial plus, for each uncovered edge, the least
+        # weight per newly covered edge among its candidates.  Each edge's
+        # least ratio bw/bn is found by cross products; the ratios are then
+        # summed per denominator bn, and "bound >= best" is decided over
+        # the lcm of those denominators, all in integers.  The same pass
+        # picks the uncovered edge with the fewest candidates to branch on.
+        unc = full & ~covered
+        by_count: dict[int, int] = {}
         branch = -1
         branch_n = -1
-        rem = full & ~covered
+        rem = unc
         while rem:
             low = rem & -rem
             j = low.bit_length() - 1
             rem ^= low
-            if branch < 0 or len(pool.by_edge[j]) < branch_n:
-                branch, branch_n = j, len(pool.by_edge[j])
+            cands = pool.by_edge[j]
+            if branch < 0 or len(cands) < branch_n:
+                branch, branch_n = j, len(cands)
+            bw, bn = 1, 0  # 1/0 stands for +infinity
+            for i in cands:
+                n = (pool.cand_covers[i] & unc).bit_count()
+                if cand_w[i] * bn < bw * n:
+                    bw, bn = cand_w[i], n
+            by_count[bn] = by_count.get(bn, 0) + bw
+        scale = lcm(*by_count)
+        total = sum(t * (scale // c) for c, t in by_count.items())
+        if (partial - best) * scale + total >= 0:
+            return ()
         return pool.by_edge[branch]
 
     # Depth-first with an explicit stack, one frame per node on the current
     # path (so len(stack) == len(chosen) + 1): each frame holds the node's
-    # coverage, its float weight and an iterator over its untried children.
-    stack = [(0, 0.0, iter(visit(0, 0.0)))]
+    # coverage, its weight and an iterator over its untried children.
+    stack = [(0, 0, iter(visit(0, 0)))]
     while stack:
-        covered, partial_f, children = stack[-1]
+        covered, partial, children = stack[-1]
         i = next(children, None)
         if i is None:
             stack.pop()
@@ -295,12 +282,13 @@ def min_cover_weight(h: Hypergraph, q: float) -> tuple[Fraction, tuple[VertexSet
             continue
         chosen.append(i)
         child = covered | pool.cand_covers[i]
-        child_f = partial_f + w_float[pool.cand_sizes[i]]
-        stack.append((child, child_f, iter(visit(child, child_f))))
+        child_w = partial + cand_w[i]
+        stack.append((child, child_w, iter(visit(child, child_w))))
 
-    picks_sorted = sorted(set(best_picks), key=lambda i: lex_key(pool.cand_masks[i]))
-    witness = tuple(VertexSet(pool.cand_masks[i]) for i in picks_sorted)
-    return best_exact, witness
+    # The pool indexes candidates in lex order, so sorted indices give the
+    # witness in lex order.
+    witness = tuple(VertexSet(pool.cand_masks[i]) for i in sorted(set(best_picks)))
+    return Fraction(best, w[0]), witness
 
 
 def exhaustive_min_cover_weight(

@@ -213,7 +213,10 @@ def test_min_cover_weight_frozen_exact(h, q, expected):
 # three-route agreement
 
 
-GRID_QS = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0)
+# The last three stretch the search's integer weights: 2^-1074 (the least
+# positive float) and 2^-60 give large common denominators, and 1 - 2^-53
+# gives ratios that floats round together.
+GRID_QS = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0, 5e-324, 2**-60, 1 - 2**-53)
 ORACLE_ASSIGNMENTS = 1 << 16
 
 
@@ -245,7 +248,9 @@ def test_random_instances_agree_across_all_routes(data):
             min_size=edge_count, max_size=edge_count,
         )
     )
-    q = data.draw(st.sampled_from((0.15, 0.33, 0.5, 0.8)))
+    q = data.draw(
+        st.sampled_from((0.15, 0.33, 0.5, 0.8, 0.1, 5e-324, 2**-60, 1 - 2**-53))
+    )
     h = Hypergraph.from_masks(n, masks)
     # Only instances the enumeration oracle can afford: it assigns each
     # minimized edge one of its 2^|S| submasks.
@@ -293,6 +298,16 @@ def test_node_budget_enforced(monkeypatch):
         min_cover_weight(triangles(5), 0.3)
     with pytest.raises(ResourceLimitError):
         check_spread_not_small(triangles(4))
+
+
+def test_exact_tie_prunes_at_the_root(monkeypatch):
+    # At q = 1/2 the least weight per newly covered edge is 1/8 for every
+    # triangle of K4 (q^3/1 = q^2/2), so the root bound 4 * 1/8 = 1/2 equals
+    # the incumbent 4q^3 exactly and the search must stop after one node.
+    monkeypatch.setattr(certify, "NODE_BUDGET", 1)
+    w, witness = min_cover_weight(triangles(4), 0.5)
+    assert w == Fraction(1, 2)
+    assert cover_weight(witness, 0.5) == w
 
 
 def test_cover_search_leaves_the_recursion_limit_alone(monkeypatch):
