@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import inf, lcm, prod
 
 from .core import (
     MAX_GROUND_SIZE,
@@ -67,6 +67,21 @@ __all__ = [
 POOL_BUDGET = 1 << 18
 NODE_BUDGET = 2_000_000
 SPREAD_BUDGET = 1 << 22
+# Slack between a certificate's stored float weight and the recomputed exact one.
+_WEIGHT_TOL = 1e-12
+# Slack on the spread check's weight-1 comparison: kappa itself is a float.
+_SPREAD_TOL = 1e-9
+
+
+def _check_tol(tol: float) -> None:
+    """Reject a bisection tolerance that is not finite and positive.
+
+    At 0 or below the bracket stops shrinking once its ends are adjacent
+    floats, so the loop never ends; at nan or inf it ends before the first
+    step and returns the midpoint of the unit interval.
+    """
+    if not 0.0 < tol < inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -353,6 +368,7 @@ def max_small_q(h: Hypergraph, *, tol: float = 1e-9) -> float:
     never small for a hypergraph with an edge: any cover needs at least one
     member, of weight 1 at q = 1.
     """
+    _check_tol(tol)
     if not h.edges:
         raise ValueError("smallness threshold of a hypergraph with no edges")
     if h.has_empty_edge():
@@ -360,8 +376,6 @@ def max_small_q(h: Hypergraph, *, tol: float = 1e-9) -> float:
             "the empty edge admits only the empty set as cover member, "
             "weight 1; no positive q is small (threshold 0 by convention)"
         )
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
@@ -458,14 +472,13 @@ def write_cover(cover: Cover, path) -> None:
         fh.write(cover_to_json(cover))
 
 
-def validate_cover(
-    h: Hypergraph, cover: Cover, *, weight_tol: float = 1e-12
-) -> tuple[bool, list[str]]:
+def validate_cover(h: Hypergraph, cover: Cover) -> tuple[bool, list[str]]:
     """Check a claimed smallness certificate against h from scratch.
 
     Valid means: ground sets match, q is in range, every edge of h contains
     a cover member, the stored weight agrees with the recomputed exact one,
-    and that weight is at most 1/2.
+    and that weight is at most 1/2.  A stored weight of nan agrees with
+    nothing.
     """
     reasons: list[str] = []
     if cover.ground_size != h.ground_size:
@@ -490,7 +503,7 @@ def validate_cover(
         ]
         reasons.append(f"{len(uncovered)} edge(s) contain no cover member")
     exact = cover_weight(cover.edges, cover.q)
-    if abs(float(exact) - cover.weight) > weight_tol:
+    if not abs(float(exact) - cover.weight) <= _WEIGHT_TOL:
         reasons.append(
             f"stored weight {cover.weight} differs from recomputed {float(exact)}"
         )
@@ -499,20 +512,20 @@ def validate_cover(
     return not reasons, reasons
 
 
-def check_spread_not_small(h: Hypergraph, *, tol: float = 1e-9) -> tuple[bool, dict]:
+def check_spread_not_small(h: Hypergraph) -> tuple[bool, dict]:
     """Spread bars smallness: at q = 1/kappa the family is never q-small.
 
     Computes kappa, then the exact minimum cover weight at q = min(1, 1/kappa).
     Two claims are checked together: the family is not q-small there (minimum
     weight > 1/2), and no undercovering family in fact gets below total weight
-    1.  The weight-1 comparison gets ``tol`` of slack because kappa itself is
-    a float.
+    1.  The weight-1 comparison gets 1e-9 of slack (``_SPREAD_TOL``) because
+    kappa itself is a float.
     """
     sw = spread_of(h)
     q = min(1.0, 1.0 / sw.kappa)
     small, cover = is_q_small(h, q)
     weight = cover_weight(cover.edges, q)
-    passed = (not small) and float(weight) >= 1.0 - tol
+    passed = (not small) and float(weight) >= 1.0 - _SPREAD_TOL
     details = {
         "kappa": sw.kappa,
         "q": q,

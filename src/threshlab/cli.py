@@ -25,7 +25,6 @@ import os
 import sys
 
 from .certify import (
-    check_spread_not_small,
     is_q_small,
     max_small_q,
     read_cover,
@@ -50,6 +49,7 @@ from .estimate import (
     verify_first_moment,
     verify_fragment_weight,
     verify_highprob_bound,
+    verify_spread_not_small,
     verify_threshold_bound,
 )
 from .families import make_family
@@ -60,7 +60,7 @@ from .process import (
     trace_rounds_to_csv,
     trace_to_json,
 )
-from .suite import DEFAULT_SEED, run_suite
+from .suite import DEFAULT_SEED, Q_FRAG, run_suite
 
 __all__ = ["main"]
 
@@ -73,6 +73,12 @@ def _env_int(name: str, fallback: int) -> int:
         return int(raw)
     except ValueError as exc:
         raise FormatError(f"{name} must be an integer, got {raw!r}") from exc
+
+
+def _given(**options) -> dict:
+    """The options the user set; an unset one (None) keeps the library
+    function's own default."""
+    return {k: v for k, v in options.items() if v is not None}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -105,7 +111,7 @@ def _cmd_qsmall(args: argparse.Namespace) -> int:
     h = read_hypergraph(args.path)
     if args.q is None:
         try:
-            q = max_small_q(h, tol=args.tol)
+            q = max_small_q(h, **_given(tol=args.tol))
         except TrivialHypergraphError:
             print("trivial: an empty edge defeats every cover; q(H) = 0")
             return 0
@@ -134,14 +140,12 @@ def _cmd_pc(args: argparse.Namespace) -> int:
     h = read_hypergraph(args.path)
     if args.mc:
         est = mc_critical_probability(
-            h, Rng(args.seed), trials=args.trials or 4096,
-            tol=args.tol if args.tol is not None else 1e-2,
+            h, Rng(args.seed), **_given(trials=args.trials, tol=args.tol)
         )
         print(f"p_c ~ {est.value!r} in [{est.ci_low!r}, {est.ci_high!r}] "
               f"({est.trials} samples)")
         return 0
-    tol = args.tol if args.tol is not None else 1e-9
-    print(f"p_c = {critical_probability(h, tol=tol)!r}")
+    print(f"p_c = {critical_probability(h, **_given(tol=args.tol))!r}")
     return 0
 
 
@@ -149,10 +153,11 @@ def _run_process(args: argparse.Namespace, kind: str) -> int:
     h = read_hypergraph(args.path)
     rng = Rng(args.seed)
     if kind == "halving":
-        tr = run_halving(h, args.q, rng, ell_factor=args.L)
+        tr = run_halving(h, args.q, rng, **_given(ell_factor=args.L))
     elif kind == "retry":
         tr = run_retry(
-            h, args.q, args.eps, rng, ell_factor=args.L, failure_mode=args.failure_mode
+            h, args.q, args.eps, rng,
+            **_given(ell_factor=args.L, failure_mode=args.failure_mode),
         )
     else:
         tr = run_restart(h, args.q, args.eps, rng)
@@ -187,28 +192,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             [
                 verify_highprob_bound(
                     h, args.eps, Rng(args.seed), instance=name,
-                    trials=args.trials or 10_000,
+                    **_given(trials=args.trials),
                 )
             ]
         )
     if mode == "fragweight":
-        q = args.q if args.q is not None else 1.0 / 16.0
+        q = args.q if args.q is not None else Q_FRAG
         return _print_reports(
             verify_fragment_weight(
                 h, q, Rng(args.seed), instance=name,
-                trials=args.trials or 10_000, ell_factor=args.L,
+                **_given(trials=args.trials, ell_factor=args.L),
             )
         )
     if mode == "spreadsmall":
-        passed, details = check_spread_not_small(h)
-        return _print_reports(
-            [
-                CheckReport(
-                    name, "spread_not_small", details["min_cover_weight"], 1.0,
-                    1e-9, passed, False, None, 0, details,
-                )
-            ]
-        )
+        return _print_reports([verify_spread_not_small(h, instance=name)])
     raise FormatError(f"unknown verify mode {mode!r}")
 
 
@@ -254,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qsmall", help="smallness certificate or largest small q")
     p.add_argument("path")
     p.add_argument("--q", type=float)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float)
     p.add_argument("--cert", help="write the cover as a certificate")
     p.set_defaults(fn=_cmd_qsmall)
 
@@ -266,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--mc", action="store_true")
     p.add_argument("--trials", type=int, default=trials_default)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int, default=seed_default)
     p.set_defaults(fn=_cmd_pc)
 
@@ -277,12 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if kind != "halving":
             p.add_argument("--eps", type=float, required=True)
         p.add_argument("--seed", type=int, default=seed_default)
-        p.add_argument("--L", type=float, default=8.0)
+        p.add_argument("--L", type=float)
         if kind == "retry":
-            p.add_argument(
-                "--failure-mode", choices=("fragment", "setminus"),
-                default="fragment",
-            )
+            p.add_argument("--failure-mode", choices=("fragment", "setminus"))
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true")
         fmt.add_argument("--csv", action="store_true")
@@ -300,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?")
     p.add_argument("--q", type=float)
     p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--L", type=float, default=8.0)
+    p.add_argument("--L", type=float)
     p.add_argument("--trials", type=int, default=trials_default)
     p.add_argument("--seed", type=int, default=seed_default)
     p.set_defaults(fn=_cmd_verify)
@@ -325,9 +319,6 @@ def main(argv: list[str] | None = None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         return args.fn(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2

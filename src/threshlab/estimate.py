@@ -24,7 +24,7 @@ reason.  All float accumulation goes through math.fsum.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, fsum, log2, sqrt
@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .certify import max_small_q
+from .certify import _SPREAD_TOL, _check_tol, check_spread_not_small, max_small_q
 from .core import (
     Hypergraph,
     ResourceLimitError,
@@ -61,6 +61,7 @@ __all__ = [
     "fragment_weight_samples",
     "verify_fragment_weight",
     "verify_first_moment",
+    "verify_spread_not_small",
     "constant_check",
 ]
 
@@ -75,6 +76,8 @@ _INCLEXCL_EDGE_LIMIT = 16
 # Bisection steps of the Monte Carlo threshold search; 2^-40 is far below
 # any interval its trials can resolve.
 _MC_MAX_STEPS = 40
+# Slack on both sides of the threshold sandwich q <= p_c <= 8 q log2(2 ell).
+_THRESHOLD_TOL = 1e-6
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -112,18 +115,7 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "operation": self.operation,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "seed": self.seed,
-            "trials": self.trials,
-            "details": dict(self.details),
-        }
+        return asdict(self)
 
 
 def parallel_map(
@@ -299,6 +291,7 @@ def critical_probability(h: Hypergraph, *, tol: float = 1e-9) -> float:
     unique.  A hypergraph with an empty edge is contained by every sample,
     so its threshold is 0; one with no edges has no threshold at all.
     """
+    _check_tol(tol)
     if h.edge_count == 0:
         raise ValueError("critical probability needs at least one edge")
     if h.has_empty_edge():
@@ -362,7 +355,6 @@ def verify_threshold_bound(
     instance: str = "",
     q: float | None = None,
     pc: float | None = None,
-    tol: float = 1e-6,
 ) -> CheckReport:
     """Sandwich the exact threshold between the smallness bounds.
 
@@ -376,14 +368,14 @@ def verify_threshold_bound(
     ell = h.max_edge_size()
     rhs_raw = 8.0 * qv * log2(2.0 * ell)
     rhs = min(1.0, rhs_raw)
-    upper_ok = pcv <= rhs + tol
-    first_moment_ok = qv <= pcv + tol
+    upper_ok = pcv <= rhs + _THRESHOLD_TOL
+    first_moment_ok = qv <= pcv + _THRESHOLD_TOL
     return CheckReport(
         instance=instance,
         operation="threshold_bound",
         lhs=pcv,
         rhs=rhs,
-        tolerance=tol,
+        tolerance=_THRESHOLD_TOL,
         passed=upper_ok and first_moment_ok,
         vacuous=rhs_raw >= 1.0,
         seed=None,
@@ -545,7 +537,6 @@ def verify_first_moment(
     instance: str = "",
     q: float | None = None,
     pc: float | None = None,
-    tol: float = 1e-6,
 ) -> CheckReport:
     """The largest certified-small q never exceeds the exact threshold."""
     qv = max_small_q(h) if q is None else q
@@ -555,12 +546,33 @@ def verify_first_moment(
         operation="first_moment",
         lhs=qv,
         rhs=pcv,
-        tolerance=tol,
-        passed=qv <= pcv + tol,
+        tolerance=_THRESHOLD_TOL,
+        passed=qv <= pcv + _THRESHOLD_TOL,
         vacuous=False,
         seed=None,
         trials=0,
         details={},
+    )
+
+
+def verify_spread_not_small(h: Hypergraph, *, instance: str = "") -> CheckReport:
+    """Spread bars smallness: at q = min(1, 1/kappa) no cover weighs under 1.
+
+    The report of `check_spread_not_small`: lhs is the exact minimum cover
+    weight at that q, against 1 with the check's own slack.
+    """
+    passed, details = check_spread_not_small(h)
+    return CheckReport(
+        instance=instance,
+        operation="spread_not_small",
+        lhs=details["min_cover_weight"],
+        rhs=1.0,
+        tolerance=_SPREAD_TOL,
+        passed=passed,
+        vacuous=False,
+        seed=None,
+        trials=0,
+        details={k: details[k] for k in ("kappa", "q", "is_q_small")},
     )
 
 

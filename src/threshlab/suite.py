@@ -39,13 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .certify import (
-    check_spread_not_small,
-    exhaustive_min_cover_weight,
-    is_q_small,
-    max_small_q,
-    min_cover_weight,
-)
+from .certify import exhaustive_min_cover_weight, is_q_small, max_small_q, min_cover_weight
 from .core import Hypergraph, Rng, VertexSet, minimize, undercovers
 from .estimate import (
     CheckReport,
@@ -58,17 +52,10 @@ from .estimate import (
     verify_first_moment,
     verify_fragment_weight,
     verify_highprob_bound,
+    verify_spread_not_small,
     verify_threshold_bound,
 )
-from .families import (
-    cliques,
-    hamilton_cycles,
-    perfect_matchings,
-    random_uniform,
-    singletons,
-    sunflower,
-    triangles,
-)
+from .families import make_family
 from .process import fragment, run_halving, run_restart, run_retry, tiebreaker_recovers_fragment
 
 __all__ = [
@@ -136,23 +123,13 @@ _BLOCK = 500
 
 @lru_cache(maxsize=None)
 def get_instance(name: str) -> Hypergraph:
-    parts = name.split("-")
-    family, args = parts[0], [int(a) for a in parts[1:]]
-    if family == "singletons":
-        return singletons(args[0])
-    if family == "sunflower":
-        return sunflower(args[0], args[1], args[2])
-    if family == "triangles":
-        return triangles(args[0])
-    if family == "hamilton":
-        return hamilton_cycles(args[0])
-    if family == "matchings":
-        return perfect_matchings(args[0])
-    if family == "cliques":
-        return cliques(args[0], args[1])
+    """The matrix instance "<family>-<arg>-...", built by make_family;
+    "random-n-k-m" is random-uniform at the fixed matrix seed."""
+    family, *rest = name.split("-")
+    args = [int(a) for a in rest]
     if family == "random":
-        return random_uniform(args[0], args[1], args[2], _MATRIX_SEED)
-    raise ValueError(f"unknown instance name {name!r}")
+        return make_family("random-uniform", [*args, _MATRIX_SEED])
+    return make_family(family, args)
 
 
 @lru_cache(maxsize=None)
@@ -163,12 +140,6 @@ def q_star(name: str) -> float:
 @lru_cache(maxsize=None)
 def pc_exact(name: str) -> float:
     return critical_probability(get_instance(name))
-
-
-@lru_cache(maxsize=None)
-def _spread_check(name: str) -> tuple[bool, tuple]:
-    passed, details = check_spread_not_small(get_instance(name))
-    return passed, tuple(sorted(details.items()))
 
 
 @dataclass(frozen=True)
@@ -399,7 +370,7 @@ def criterion_08(ctx: _Ctx) -> list[CheckReport]:
                         RETRY_RUNS * len(RETRY_EPS), {})
         )
         markov = inst_fail_rounds / inst_rounds
-        sig = 3.0 * sqrt(0.25 / inst_rounds)
+        sig = _sigma3(0.5, inst_rounds)
         recs.append(
             CheckReport(name, "retry_round_markov", markov, 0.5, sig,
                         markov < 0.5 + sig, False, ctx.seed, inst_rounds, {})
@@ -448,15 +419,9 @@ def criterion_09(ctx: _Ctx) -> list[CheckReport]:
     return recs
 
 
+@lru_cache(maxsize=None)
 def _spread_record(name: str) -> CheckReport:
-    passed, items = _spread_check(name)
-    details = dict(items)
-    return CheckReport(
-        name, "spread_not_small", details["min_cover_weight"], 1.0, 1e-9,
-        passed, False, None, 0,
-        {"kappa": details["kappa"], "q": details["q"],
-         "is_q_small": details["is_q_small"]},
-    )
+    return verify_spread_not_small(get_instance(name), instance=name)
 
 
 def criterion_10(ctx: _Ctx) -> list[CheckReport]:

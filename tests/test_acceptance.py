@@ -6,6 +6,7 @@ run already exercises every parallel path); each test then inspects the
 records for its number.  Tolerances are pinned here and must not drift.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -20,6 +21,13 @@ from threshlab.suite import (
     q_star,
     run_suite,
 )
+
+
+# sha256 of the records of the full run below (criteria 1-12, DEFAULT_SEED,
+# one worker).  A change that moves a record on purpose updates these and
+# says in CHANGES.md what moved and why.
+RECORDS_CSV_SHA256 = "219b3abdddd2a944c040c52bd05ebab83035579f62a6cc5e4ef7f9f3858234e5"
+RECORDS_JSON_SHA256 = "bfa979136216d05133827483d4ae9d86d3d9e2208e47efacf8172c8e9f9ecc76"
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +155,11 @@ def test_criterion_12_byte_identical_reruns(suite):
     assert {r.operation for r in recs} == {"csv_identical", "json_identical"}
     assert all(r.lhs == 1.0 for r in recs)
     assert all(r.details["workers"] == [1, 4, 8] for r in recs)
+
+
+def test_records_are_pinned(suite):
+    assert hashlib.sha256(suite.csv_text.encode()).hexdigest() == RECORDS_CSV_SHA256
+    assert hashlib.sha256(suite.json_text.encode()).hexdigest() == RECORDS_JSON_SHA256
 
 
 def test_suite_verdict(suite):

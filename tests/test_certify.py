@@ -333,8 +333,9 @@ def test_max_small_q_degenerate_inputs():
         max_small_q(Hypergraph(2))
     with pytest.raises(TrivialHypergraphError):
         max_small_q(hg(2, ()))
-    with pytest.raises(ValueError):
-        max_small_q(hg(1, (0,)), tol=0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            max_small_q(hg(1, (0,)), tol=tol)
 
 
 def test_min_cover_rejects_out_of_range_q():
@@ -471,6 +472,9 @@ def test_validate_cover_rejects_tampering():
 
     ok, reasons = validate_cover(h, replace(cover, weight=cover.weight / 2))
     assert not ok and any("weight" in r for r in reasons)
+
+    ok, reasons = validate_cover(h, replace(cover, weight=float("nan")))
+    assert not ok and any("stored weight nan differs" in r for r in reasons)
 
     ok, reasons = validate_cover(h, replace(cover, edges=cover.edges[:1]))
     assert not ok and any("no cover member" in r for r in reasons)

@@ -1,9 +1,14 @@
 """End-to-end command line coverage, in process via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import threshlab
 from threshlab.cli import main
 
 
@@ -94,6 +99,11 @@ def test_tampered_certificate_rejected(triangles4, tmp_path, capsys):
     assert code == 1
     assert "FAIL certificate rejected" in out
     assert "differs from recomputed" in out
+    doc["weight"] = float("nan")  # json writes and reads it as NaN
+    cert.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check-cert", triangles4, str(cert))
+    assert code == 1
+    assert "stored weight nan differs from recomputed" in out
 
 
 def test_certificate_member_outside_ground_set_is_a_fail(triangles4, tmp_path, capsys):
@@ -155,6 +165,41 @@ def test_pc_mc_is_deterministic(triangles4, capsys):
     assert code == 0 and "samples)" in first
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_pc_nonpositive_tol_exits_2(tmp_path, tol):
+    # Such a tol once made the exact bisection spin forever on adjacent
+    # floats; a subprocess with a timeout turns a hang into a failure.
+    path = tmp_path / "s2.txt"
+    path.write_text("n 2\n0\n1\n")
+    src = str(Path(threshlab.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "threshlab", "pc", str(path), "--tol", tol],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 2
+    assert "tol must be finite and positive" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, tol",
+    [("pc", "nan"), ("pc", "inf"), ("qsmall", "nan"), ("qsmall", "inf"), ("qsmall", "0")],
+)
+def test_bad_tol_exits_2(triangles4, capsys, command, tol):
+    # nan or inf once ended the bisection before its first step, printing 0.5
+    code, out, err = run(capsys, command, triangles4, "--tol", tol)
+    assert code == 2 and out == ""
+    assert "tol must be finite and positive" in err
+
+
+def test_explicit_zero_trials_exits_2(triangles4, capsys):
+    code, _, err = run(capsys, "pc", triangles4, "--mc", "--trials", "0")
+    assert code == 2 and "trials must be positive" in err
+    code, _, err = run(capsys, "verify", "fragweight", triangles4, "--trials", "0")
+    assert code == 2 and "trials must be positive" in err
 
 
 def test_pc_refuses_large_ground(tmp_path, capsys):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import threshlab.estimate as estimate
 import threshlab.process as process
+from threshlab.certify import check_spread_not_small
 from threshlab.core import Hypergraph, ResourceLimitError, Rng
 from threshlab.estimate import (
     EXACT_GROUND_LIMIT,
@@ -32,6 +33,7 @@ from threshlab.estimate import (
     verify_first_moment,
     verify_fragment_weight,
     verify_highprob_bound,
+    verify_spread_not_small,
     verify_threshold_bound,
     wilson_interval,
 )
@@ -162,6 +164,11 @@ def test_critical_probability_degenerate():
     with pytest.raises(ValueError):
         critical_probability(Hypergraph(2))
     assert critical_probability(hg(2, ())) == 0.0
+    # at 0 or below the bisection used to spin on adjacent floats forever, at
+    # nan or inf to return 0.5 after no step at all
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            critical_probability(hg(2, (0,), (1,)), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +397,17 @@ def test_verify_fragment_weight_accepts_precomputed_samples():
     fresh = verify_fragment_weight(triangles(5), 1 / 16, Rng(6), trials=400)
     reused = verify_fragment_weight(triangles(5), 1 / 16, Rng(6), samples=samples)
     assert [r.lhs for r in fresh] == [r.lhs for r in reused]
+
+
+def test_verify_spread_not_small_reports_the_check():
+    ok, details = check_spread_not_small(triangles(4))
+    r = verify_spread_not_small(triangles(4), instance="triangles-4")
+    assert (r.instance, r.operation, r.passed) == ("triangles-4", "spread_not_small", ok)
+    assert (r.lhs, r.rhs, r.tolerance) == (details["min_cover_weight"], 1.0, 1e-9)
+    assert (r.vacuous, r.seed, r.trials) == (False, None, 0)
+    assert r.details == {
+        "kappa": details["kappa"], "q": details["q"], "is_q_small": False,
+    }
 
 
 def test_verify_first_moment():
