@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm, prod
+from typing import Callable
 
 from .core import (
     MAX_GROUND_SIZE,
@@ -82,6 +83,21 @@ def _check_tol(tol: float) -> None:
     """
     if not 0.0 < tol < inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
+def _bisect(below: Callable[[float], bool], tol: float) -> float:
+    """Bisect [0, 1] for the point where below turns from True to False;
+    return the midpoint of the final bracket, no wider than tol.  Callers
+    run _check_tol first, so a bad tol is refused also on their routes that
+    skip the search."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 @dataclass(frozen=True)
@@ -376,15 +392,7 @@ def max_small_q(h: Hypergraph, *, tol: float = 1e-9) -> float:
             "the empty edge admits only the empty set as cover member, "
             "weight 1; no positive q is small (threshold 0 by convention)"
         )
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        weight, _ = min_cover_weight(h, mid)
-        if weight <= Fraction(1, 2):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return _bisect(lambda q: min_cover_weight(h, q)[0] <= Fraction(1, 2), tol)
 
 
 # ---------------------------------------------------------------------------

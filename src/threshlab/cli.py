@@ -2,7 +2,7 @@
 
     threshlab gen triangles 5                family in the text format
     threshlab qsmall H.txt --q 0.3           decide q-smallness at a fixed q
-    threshlab qsmall H.txt                   largest certified-small q
+    threshlab qsmall H.txt [--tol T]         largest certified-small q
     threshlab spread H.txt                   spread with its witness subset
     threshlab pc H.txt                       exact critical probability
     threshlab pc H.txt --mc --trials 4096    Monte Carlo bracket
@@ -10,12 +10,17 @@
     threshlab run-retry H.txt --q 0.05 --eps 0.25
     threshlab run-restart H.txt --q 0.05 --eps 0.25
     threshlab verify constants               one PASS/FAIL line per check
+    threshlab verify threshold|firstmoment|spreadsmall H.txt
+    threshlab verify highprob H.txt [--q Q --eps E --trials N --seed S]
+    threshlab verify fragweight H.txt [--q Q --L F --trials N --seed S]
     threshlab check-cert H.txt cert.json     validate a stored certificate
     threshlab suite --out results/           full acceptance suite
 
-Exit status: 0 on success and passing checks, 1 when a verification or a
-certificate fails, 2 on usage, format, or resource errors.  THRESHLAB_SEED,
-THRESHLAB_TRIALS and THRESHLAB_WORKERS override the matching defaults.
+A command accepts only the options its library call reads; any other is a
+usage error.  Exit status: 0 on success and passing checks, 1 when a
+verification or a certificate fails, 2 on usage, format, or resource errors.
+THRESHLAB_SEED, THRESHLAB_TRIALS and THRESHLAB_WORKERS override the matching
+defaults.
 """
 
 from __future__ import annotations
@@ -108,6 +113,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_qsmall(args: argparse.Namespace) -> int:
+    if args.cert is not None and args.q is None:
+        raise FormatError("qsmall --cert needs --q")
     h = read_hypergraph(args.path)
     if args.q is None:
         try:
@@ -176,37 +183,25 @@ def _run_process(args: argparse.Namespace, kind: str) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    mode = args.mode
-    if mode == "constants":
+    if args.mode == "constants":
         return _print_reports([constant_check()])
-    if args.path is None:
-        raise FormatError(f"verify {mode} needs a hypergraph file")
     h = read_hypergraph(args.path)
     name = os.path.basename(args.path)
-    if mode == "threshold":
-        return _print_reports([verify_threshold_bound(h, instance=name)])
-    if mode == "firstmoment":
-        return _print_reports([verify_first_moment(h, instance=name)])
-    if mode == "highprob":
-        return _print_reports(
-            [
-                verify_highprob_bound(
-                    h, args.eps, Rng(args.seed), instance=name,
-                    **_given(trials=args.trials),
-                )
-            ]
+    if args.mode == "highprob":
+        reports = [verify_highprob_bound(
+            h, args.eps, Rng(args.seed), instance=name,
+            **_given(q=args.q, trials=args.trials),
+        )]
+    elif args.mode == "fragweight":
+        reports = verify_fragment_weight(
+            h, args.q, Rng(args.seed), instance=name,
+            **_given(trials=args.trials, ell_factor=args.L),
         )
-    if mode == "fragweight":
-        q = args.q if args.q is not None else Q_FRAG
-        return _print_reports(
-            verify_fragment_weight(
-                h, q, Rng(args.seed), instance=name,
-                **_given(trials=args.trials, ell_factor=args.L),
-            )
-        )
-    if mode == "spreadsmall":
-        return _print_reports([verify_spread_not_small(h, instance=name)])
-    raise FormatError(f"unknown verify mode {mode!r}")
+    else:
+        check = {"threshold": verify_threshold_bound, "firstmoment": verify_first_moment,
+                 "spreadsmall": verify_spread_not_small}[args.mode]
+        reports = [check(h, instance=name)]
+    return _print_reports(reports)
 
 
 def _cmd_check_cert(args: argparse.Namespace) -> int:
@@ -250,9 +245,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qsmall", help="smallness certificate or largest small q")
     p.add_argument("path")
-    p.add_argument("--q", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--cert", help="write the cover as a certificate")
+    q_or_tol = p.add_mutually_exclusive_group()
+    q_or_tol.add_argument("--q", type=float)
+    q_or_tol.add_argument("--tol", type=float)
+    p.add_argument("--cert", help="write the cover as a certificate (needs --q)")
     p.set_defaults(fn=_cmd_qsmall)
 
     p = sub.add_parser("spread", help="exact spread with witness")
@@ -274,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if kind != "halving":
             p.add_argument("--eps", type=float, required=True)
         p.add_argument("--seed", type=int, default=seed_default)
-        p.add_argument("--L", type=float)
+        if kind != "restart":  # run_restart's rate is fixed at 8 q log2(2 ell)
+            p.add_argument("--L", type=float)
         if kind == "retry":
             p.add_argument("--failure-mode", choices=("fragment", "setminus"))
         fmt = p.add_mutually_exclusive_group()
@@ -284,20 +281,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=lambda a, k=kind: _run_process(a, k))
 
     p = sub.add_parser("verify", help="run one verification check")
-    p.add_argument(
-        "mode",
-        choices=(
-            "constants", "threshold", "highprob", "fragweight",
-            "spreadsmall", "firstmoment",
-        ),
-    )
-    p.add_argument("path", nargs="?")
-    p.add_argument("--q", type=float)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--L", type=float)
-    p.add_argument("--trials", type=int, default=trials_default)
-    p.add_argument("--seed", type=int, default=seed_default)
     p.set_defaults(fn=_cmd_verify)
+    modes = p.add_subparsers(dest="mode", required=True)
+    modes.add_parser("constants")
+    for mode in ("threshold", "firstmoment", "spreadsmall", "highprob", "fragweight"):
+        modes.add_parser(mode).add_argument("path")
+    for mode, q_default in (("highprob", None), ("fragweight", Q_FRAG)):
+        m = modes.choices[mode]
+        m.add_argument("--q", type=float, default=q_default)
+        m.add_argument("--trials", type=int, default=trials_default)
+        m.add_argument("--seed", type=int, default=seed_default)
+    modes.choices["highprob"].add_argument("--eps", type=float, default=0.25)
+    modes.choices["fragweight"].add_argument("--L", type=float)
 
     p = sub.add_parser("check-cert", help="validate a stored certificate")
     p.add_argument("path")

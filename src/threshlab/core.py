@@ -15,7 +15,7 @@ its upward closure nor anything derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -329,17 +329,16 @@ class Rng:
 
     seed: int
     path: tuple[int, ...] = ()
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
 
-    @property
+    @cached_property
     def generator(self) -> np.random.Generator:
-        return self._gen
+        """Built on first use, so an Rng that only hands out substreams is cheap."""
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
+        return np.random.Generator(np.random.PCG64(ss))
 
     def substream(self, index: int) -> "Rng":
         return Rng(self.seed, self.path + (index,))

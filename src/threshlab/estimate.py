@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .certify import _SPREAD_TOL, _check_tol, check_spread_not_small, max_small_q
+from .certify import _SPREAD_TOL, _bisect, _check_tol, check_spread_not_small, max_small_q
 from .core import (
     Hypergraph,
     ResourceLimitError,
@@ -297,14 +297,7 @@ def critical_probability(h: Hypergraph, *, tol: float = 1e-9) -> float:
     if h.has_empty_edge():
         return 0.0
     containment_counts(h)  # fail fast on oversized ground sets
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if containment_probability(h, mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    return _bisect(lambda p: containment_probability(h, p) < 0.5, tol)
 
 
 def mc_critical_probability(
@@ -322,6 +315,8 @@ def mc_critical_probability(
     side of one half.  The search stops at an ambiguous midpoint or once the
     bracket is narrower than `tol`, and reports the bracket as the interval.
     """
+    if trials <= 0:
+        raise ValueError("trials must be positive")
     if h.edge_count == 0:
         raise ValueError("critical probability needs at least one edge")
     if h.has_empty_edge():
@@ -409,6 +404,8 @@ def verify_highprob_bound(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
+    if trials <= 0:
+        raise ValueError("trials must be positive")
     qv = max_small_q(h) * (1.0 + 1e-6) if q is None else q
     ell = h.max_edge_size()
     rate_raw = 48.0 * qv * log2(ell / eps)

@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import threshlab
+import threshlab.cli
 from threshlab.cli import main
 
 
@@ -16,6 +18,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_code(argv):
+    """main's return value, or the status of argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture
@@ -195,11 +205,18 @@ def test_bad_tol_exits_2(triangles4, capsys, command, tol):
     assert "tol must be finite and positive" in err
 
 
-def test_explicit_zero_trials_exits_2(triangles4, capsys):
+def test_explicit_zero_trials_exits_2(triangles4, tmp_path, capsys):
     code, _, err = run(capsys, "pc", triangles4, "--mc", "--trials", "0")
     assert code == 2 and "trials must be positive" in err
     code, _, err = run(capsys, "verify", "fragweight", triangles4, "--trials", "0")
     assert code == 2 and "trials must be positive" in err
+    # the exact route never samples, but an explicit 0 is still refused
+    path = tmp_path / "s8.txt"
+    run(capsys, "gen", "sunflower", "0", "8", "2", "--out", str(path))
+    code, out, err = run(
+        capsys, "verify", "highprob", str(path), "--eps", "0.5", "--trials", "0"
+    )
+    assert code == 2 and out == "" and "trials must be positive" in err
 
 
 def test_pc_refuses_large_ground(tmp_path, capsys):
@@ -325,13 +342,71 @@ def test_verify_highprob_exact_route(tmp_path, capsys):
         "--q", "0.004",
     )
     assert code == 0
-    assert out.startswith("PASS highprob_bound")
+    # rate 48 * 0.004 * log2(4) = 0.384 < 1, so the exact route runs:
+    # 1 - (1 - 0.384^2)^8, not the p >= 1 shortcut
+    assert out == (
+        "PASS highprob_bound s8.txt: lhs=0.7209163345710285 rhs=0.5 tol=0.0\n"
+    )
 
 
 def test_verify_needs_a_path(capsys):
-    code, _, err = run(capsys, "verify", "threshold")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "threshold"])
+    assert exc.value.code == 2
+    assert "required: path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "threshold", "{h}", "--eps", "0.9"),
+        ("verify", "constants", "{h}"),
+        ("verify", "spreadsmall", "{h}", "--trials", "5"),
+        ("run-restart", "{h}", "--q", "0.04", "--eps", "0.5", "--L", "1.5"),
+        ("qsmall", "{h}", "--cert", "{cert}"),
+        ("qsmall", "{h}", "--q", "0.3", "--tol", "1e-3"),
+    ],
+    ids=lambda argv: " ".join(argv).format(h="H", cert="c.json"),
+)
+def test_option_no_code_reads_exits_2(triangles4, tmp_path, capsys, argv):
+    cert = tmp_path / "c.json"
+    code = exit_code([a.format(h=triangles4, cert=cert) for a in argv])
     assert code == 2
-    assert "needs a hypergraph file" in err
+    assert capsys.readouterr().out == ""
+    assert not cert.exists()
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1]
+    block = block.split("```", 2)[1]
+    return [
+        line.split("#", 1)[0].split()[1:]
+        for line in block.splitlines()
+        if line.startswith("threshlab ")
+    ]
+
+
+def test_readme_commands_parse_and_run(tmp_path, capsys, monkeypatch):
+    # Every command line the README shows must still be one the parser
+    # accepts and main runs: none may exit 2.  The suite line only needs
+    # its arguments checked, so run_suite is replaced by a stub.
+    calls = []
+
+    def fake_suite(*args, **kwargs):
+        calls.append((args, kwargs))
+        return SimpleNamespace(summary_text="", passed=True)
+
+    monkeypatch.setattr(threshlab.cli, "run_suite", fake_suite)
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(["gen", "triangles", "5", "--out", "H.txt"]) == 0
+    assert exit_code(["qsmall", "H.txt", "--q", "0.3", "--cert", "c.json"]) == 0
+    commands = _readme_commands()
+    assert len(commands) >= 15
+    for argv in commands:
+        assert exit_code(argv) != 2, " ".join(argv)
+        capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_missing_file_is_a_usage_error(capsys):

@@ -285,6 +285,8 @@ def test_rng_substreams_are_stable_and_distinct():
     assert (s2_first == s2_again).all()
     s3 = Rng(7, path=(3,)).substream(3).generator.random(4)
     assert (s2_first != s3).any()
+    # a parent that only hands out substreams never builds its own stream
+    assert "generator" not in vars(base)
 
 
 def test_rng_seed_must_fit_64_bits():

@@ -298,6 +298,9 @@ def test_mc_critical_probability_degenerate():
         mc_critical_probability(Hypergraph(2), Rng(0))
     est = mc_critical_probability(hg(2, ()), Rng(0))
     assert est.value == 0.0 and est.trials == 0
+    # the empty edge's answer needs no samples, but trials=0 is still refused
+    with pytest.raises(ValueError, match="trials must be positive"):
+        mc_critical_probability(hg(2, ()), Rng(0), trials=0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +359,15 @@ def test_highprob_bound_validation():
         verify_highprob_bound(singletons(2), 0.0, Rng(0))
     with pytest.raises(ValueError):
         verify_highprob_bound(singletons(2), 1.0, Rng(0))
+    # trials is checked before the route is chosen, so the exact route and
+    # the p >= 1 shortcut, which never sample, reject it too
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            verify_highprob_bound(
+                sunflower(0, 8, 2), 0.5, Rng(0), q=0.004, trials=trials
+            )
+        with pytest.raises(ValueError, match="trials must be positive"):
+            verify_highprob_bound(singletons(2), 0.25, Rng(0), trials=trials)
 
 
 def test_fragment_weight_samples_shape_and_determinism():
