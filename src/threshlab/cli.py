@@ -143,11 +143,18 @@ def _cmd_spread(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pc(args: argparse.Namespace) -> int:
+def _cmd_pc(args: argparse.Namespace, seed: int, trials: int | None) -> int:
+    """seed and trials stand in for --seed and --trials when they are unset;
+    only the Monte Carlo route reads them."""
+    if not args.mc and (args.trials is not None or args.seed is not None):
+        raise FormatError("pc --trials and --seed need --mc")
     h = read_hypergraph(args.path)
     if args.mc:
+        trials = trials if args.trials is None else args.trials
         est = mc_critical_probability(
-            h, Rng(args.seed), **_given(trials=args.trials, tol=args.tol)
+            h,
+            Rng(seed if args.seed is None else args.seed),
+            **_given(trials=trials, tol=args.tol),
         )
         print(f"p_c ~ {est.value!r} in [{est.ci_low!r}, {est.ci_high!r}] "
               f"({est.trials} samples)")
@@ -258,10 +265,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pc", help="critical probability")
     p.add_argument("path")
     p.add_argument("--mc", action="store_true")
-    p.add_argument("--trials", type=int, default=trials_default)
+    # no parser defaults: an explicit --trials or --seed without --mc is refused
+    p.add_argument("--trials", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int, default=seed_default)
-    p.set_defaults(fn=_cmd_pc)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(fn=lambda a: _cmd_pc(a, seed_default, trials_default))
 
     for kind in ("halving", "retry", "restart"):
         p = sub.add_parser(f"run-{kind}", help=f"one {kind} trace")

@@ -3,8 +3,9 @@
 For a hypergraph on n vertices let X_p keep each vertex independently with
 probability p.  The chance that X_p contains some edge is a polynomial in p:
 count, for each k, the subsets of size k containing an edge, then sum
-c_k p^k (1-p)^(n-k).  The counts come from a single pass over all 2^n
-subsets, done in numpy chunks with a 16-bit popcount table, and are cached
+c_k p^k (1-p)^(n-k).  The counts come from a bitset over all 2^n subsets,
+2^(n-3) bytes: the edges' bits are closed upward in n word-parallel OR
+passes and popcounted by size, O(n 2^n / 64) word operations, and cached
 per hypergraph; anything above 24 ground vertices is refused rather than
 ground through.  Monte Carlo estimates cover the rest.
 
@@ -134,15 +135,17 @@ def parallel_map(
         return list(pool.map(fn, todo))
 
 
-def _popcount16() -> np.ndarray:
-    v = np.arange(1 << 16, dtype=np.uint32)
-    v = v - ((v >> 1) & 0x5555)
-    v = (v & 0x3333) + ((v >> 2) & 0x3333)
-    v = (v + (v >> 4)) & 0x0F0F
-    return ((v + (v >> 8)) & 0xFF).astype(np.uint8)
-
-
-_PC16 = _popcount16()
+# In-word closure masks: _LOW[i] holds the bit positions 0-63 whose bit i is
+# clear, so (w & _LOW[i]) << 2^i moves each of them onto its partner with
+# bit i set.
+_LOW = tuple(
+    np.uint64(sum(1 << b for b in range(64) if not b >> i & 1)) for i in range(6)
+)
+# _BY_SIZE[j] holds the bit positions 0-63 with popcount j.
+_BY_SIZE = tuple(
+    np.uint64(sum(1 << b for b in range(64) if b.bit_count() == j))
+    for j in range(7)
+)
 
 
 @lru_cache(maxsize=32)
@@ -150,8 +153,10 @@ def containment_counts(h: Hypergraph) -> tuple[int, ...]:
     """Number of vertex subsets of each size that contain at least one edge.
 
     Entry k counts the k-subsets of the ground set containing some edge.
-    Cost is one vectorized pass over all 2^n subsets, so ground sets above
-    EXACT_GROUND_LIMIT vertices raise ResourceLimitError.
+    The subsets are one bitset of 2^n bits, 2^(n-3) bytes: each distinct
+    edge sets its own bit, n OR passes close the set upward, and a popcount
+    by size reads off the counts, O(n 2^n / 64) word operations in all.
+    Ground sets above EXACT_GROUND_LIMIT vertices raise ResourceLimitError.
     """
     n = h.ground_size
     if n > EXACT_GROUND_LIMIT:
@@ -159,24 +164,25 @@ def containment_counts(h: Hypergraph) -> tuple[int, ...]:
             f"exact counts need 2^{n} subset visits; the limit is "
             f"2^{EXACT_GROUND_LIMIT}"
         )
-    counts = np.zeros(n + 1, dtype=np.int64)
     if h.edge_count == 0:
-        return tuple(int(c) for c in counts)
-    distinct = sorted(set(h.masks))
-    total = 1 << n
-    chunk = min(total, 1 << 20)
-    for start in range(0, total, chunk):
-        y = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        hit = np.zeros(y.shape[0], dtype=bool)
-        for m in distinct:
-            mm = np.uint32(m)
-            hit |= (y & mm) == mm
-        if not hit.any():
-            continue
-        yy = y[hit]
-        sizes = _PC16[yy & np.uint32(0xFFFF)] + _PC16[yy >> np.uint32(16)]
-        counts += np.bincount(sizes, minlength=n + 1).astype(np.int64)
-    return tuple(int(c) for c in counts)
+        return (0,) * (n + 1)
+    # bit y & 63 of word y >> 6 is set when subset y contains an edge
+    w = np.zeros(1 << max(n - 6, 0), dtype=np.uint64)
+    edges = np.fromiter(set(h.masks), dtype=np.uint64)
+    np.bitwise_or.at(w, edges >> np.uint64(6), np.uint64(1) << (edges & np.uint64(63)))
+    for i in range(min(n, 6)):
+        w |= (w & _LOW[i]) << np.uint64(1 << i)
+    for i in range(6, n):
+        v = w.reshape(-1, 2, 1 << (i - 6))
+        v[:, 1, :] |= v[:, 0, :]
+    # subset y has size popcount(y >> 6) + popcount(y & 63); the weighted
+    # bincount sums at most 2^24 in float64, so it stays exact
+    word_size = np.bitwise_count(np.arange(w.size, dtype=np.uint64))
+    counts = np.zeros(n + 7, dtype=np.int64)
+    for j, positions in enumerate(_BY_SIZE):
+        hits = np.bincount(word_size, weights=np.bitwise_count(w & positions))
+        counts[j : j + hits.size] += hits.astype(np.int64)
+    return tuple(int(c) for c in counts[: n + 1])
 
 
 def containment_probability(h: Hypergraph, p: float) -> float:
@@ -315,6 +321,7 @@ def mc_critical_probability(
     side of one half.  The search stops at an ambiguous midpoint or once the
     bracket is narrower than `tol`, and reports the bracket as the interval.
     """
+    _check_tol(tol)
     if trials <= 0:
         raise ValueError("trials must be positive")
     if h.edge_count == 0:

@@ -205,6 +205,16 @@ def test_bad_tol_exits_2(triangles4, capsys, command, tol):
     assert "tol must be finite and positive" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_pc_mc_bad_tol_exits_2(triangles4, capsys, tol):
+    # the Monte Carlo bisection once ran on such a tol and exited 0
+    code, out, err = run(
+        capsys, "pc", triangles4, "--mc", "--trials", "64", "--tol", tol
+    )
+    assert code == 2 and out == ""
+    assert "tol must be finite and positive" in err
+
+
 def test_explicit_zero_trials_exits_2(triangles4, tmp_path, capsys):
     code, _, err = run(capsys, "pc", triangles4, "--mc", "--trials", "0")
     assert code == 2 and "trials must be positive" in err
@@ -365,6 +375,8 @@ def test_verify_needs_a_path(capsys):
         ("run-restart", "{h}", "--q", "0.04", "--eps", "0.5", "--L", "1.5"),
         ("qsmall", "{h}", "--cert", "{cert}"),
         ("qsmall", "{h}", "--q", "0.3", "--tol", "1e-3"),
+        ("pc", "{h}", "--trials", "64"),
+        ("pc", "{h}", "--seed", "3"),
     ],
     ids=lambda argv: " ".join(argv).format(h="H", cert="c.json"),
 )
@@ -424,6 +436,17 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("THRESHLAB_SEED")
     _, via_flag, _ = run(capsys, *argv, "--seed", "1")
     assert via_env == via_flag
+
+
+def test_pc_env_defaults_with_and_without_mc(triangles4, capsys, monkeypatch):
+    _, exact, _ = run(capsys, "pc", triangles4)
+    _, via_flags, _ = run(
+        capsys, "pc", triangles4, "--mc", "--trials", "128", "--seed", "5"
+    )
+    monkeypatch.setenv("THRESHLAB_SEED", "5")
+    monkeypatch.setenv("THRESHLAB_TRIALS", "128")
+    assert run(capsys, "pc", triangles4) == (0, exact, "")
+    assert run(capsys, "pc", triangles4, "--mc") == (0, via_flags, "")
 
 
 def test_bad_seed_env_is_reported(capsys, monkeypatch):

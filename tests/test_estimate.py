@@ -6,11 +6,12 @@ Monte Carlo assertions are frozen per seed; estimators are deterministic
 given (seed, trials), so those tests are exact regressions.
 """
 
+from itertools import combinations
 from math import comb, fsum, log2
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import threshlab.estimate as estimate
@@ -118,6 +119,61 @@ def test_containment_counts_small_values():
     assert containment_counts(Hypergraph(2)) == (0, 0, 0)
 
 
+def plain_counts(n, edges):
+    """For each k, how many k-subsets of range(n) contain one of the edges
+    (vertex sets): every subset listed, every edge tried."""
+    counts = []
+    for k in range(n + 1):
+        found = 0
+        for subset in combinations(range(n), k):
+            chosen = set(subset)
+            if any(edge <= chosen for edge in edges):
+                found += 1
+        counts.append(found)
+    return tuple(counts)
+
+
+@st.composite
+def ground_and_edges(draw):
+    n = draw(st.integers(0, 13))
+    vertex = st.integers(0, n - 1) if n else st.nothing()
+    edges = draw(st.lists(st.frozensets(vertex), max_size=6))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    return n, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(ground_and_edges())
+# the word boundary: 2^6 subsets fill one 64-bit word, 2^7 two
+@example((6, []))
+@example((6, [frozenset(), frozenset({1, 4})]))
+@example((6, [frozenset({0, 5}), frozenset({0, 5}), frozenset({3})]))
+@example((7, []))
+@example((7, [frozenset({6}), frozenset({6}), frozenset({0, 1, 2})]))
+@example((7, [frozenset(range(7)), frozenset()]))
+@example((0, []))
+@example((0, [frozenset()]))
+def test_containment_counts_match_a_plain_subset_count(case):
+    n, edges = case
+    h = Hypergraph.from_edge_lists(n, [sorted(e) for e in edges])
+    assert containment_counts(h) == plain_counts(n, set(edges))
+
+
+def test_containment_counts_closed_forms_at_the_limit():
+    # twelve disjoint pairs: a k-subset misses every pair when it takes at
+    # most one vertex of each, C(12, k) 2^k ways
+    h = sunflower(0, 12, 2)
+    assert h.ground_size == EXACT_GROUND_LIMIT == 24
+    assert containment_counts(h) == tuple(
+        comb(24, k) - comb(12, k) * 2**k for k in range(25)
+    )
+    # every nonempty subset contains a singleton
+    assert containment_counts(singletons(24)) == (0,) + tuple(
+        comb(24, k) for k in range(1, 25)
+    )
+
+
 def test_containment_counts_respects_ground_limit():
     too_big = sunflower(0, 13, 2)  # 26 vertices
     assert too_big.ground_size > EXACT_GROUND_LIMIT
@@ -166,9 +222,14 @@ def test_critical_probability_degenerate():
     assert critical_probability(hg(2, ())) == 0.0
     # at 0 or below the bisection used to spin on adjacent floats forever, at
     # nan or inf to return 0.5 after no step at all
+    # the Monte Carlo bisection once ran on such a tol too; both refuse it
+    # also where an empty edge needs no search
     for tol in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            critical_probability(hg(2, (0,), (1,)), tol=tol)
+        for h in (hg(2, (0,), (1,)), hg(2, ())):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                critical_probability(h, tol=tol)
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                mc_critical_probability(h, Rng(0), trials=64, tol=tol)
 
 
 # ---------------------------------------------------------------------------
