@@ -9,7 +9,6 @@ checked on every trace.  A fixed-seed acceptance suite ties it together.
 from .certify import (
     Cover,
     SpreadWitness,
-    check_spread_not_small,
     cover_weight,
     exhaustive_min_cover_weight,
     is_q_small,
@@ -31,10 +30,8 @@ from .core import (
     contains_edge,
     format_hypergraph,
     minimize,
-    pad,
     parse_hypergraph,
     read_hypergraph,
-    restrict,
     sample_bernoulli,
     sample_uniform_of_size,
     undercovers,

@@ -54,7 +54,6 @@ __all__ = [
     "is_q_small",
     "max_small_q",
     "spread_of",
-    "check_spread_not_small",
     "validate_cover",
     "cover_to_json",
     "cover_from_json",
@@ -70,34 +69,43 @@ NODE_BUDGET = 2_000_000
 SPREAD_BUDGET = 1 << 22
 # Slack between a certificate's stored float weight and the recomputed exact one.
 _WEIGHT_TOL = 1e-12
-# Slack on the spread check's weight-1 comparison: kappa itself is a float.
-_SPREAD_TOL = 1e-9
 
 
 def _check_tol(tol: float) -> None:
     """Reject a bisection tolerance that is not finite and positive.
 
-    At 0 or below the bracket stops shrinking once its ends are adjacent
-    floats, so the loop never ends; at nan or inf it ends before the first
-    step and returns the midpoint of the unit interval.
+    At 0 or below no bracket is ever narrow enough, so the search would run
+    down to adjacent floats; at nan or inf it ends before the first step and
+    returns the unit interval.
     """
     if not 0.0 < tol < inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
-def _bisect(below: Callable[[float], bool], tol: float) -> float:
-    """Bisect [0, 1] for the point where below turns from True to False;
-    return the midpoint of the final bracket, no wider than tol.  Callers
-    run _check_tol first, so a bad tol is refused also on their routes that
-    skip the search."""
+def _bisect(
+    below: Callable[[float], bool | None], tol: float
+) -> tuple[float, float]:
+    """Bisect [0, 1] for the point where below turns from True to False and
+    return the final bracket (lo, hi).
+
+    The search stops once the bracket is no wider than tol, once no float
+    lies strictly between its ends, or once below returns None for a
+    midpoint it cannot decide.  Callers run _check_tol first, so a bad tol
+    is refused also on their routes that skip the search.
+    """
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if below(mid):
+        if not lo < mid < hi:
+            break
+        side = below(mid)
+        if side is None:
+            break
+        if side:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -392,7 +400,8 @@ def max_small_q(h: Hypergraph, *, tol: float = 1e-9) -> float:
             "the empty edge admits only the empty set as cover member, "
             "weight 1; no positive q is small (threshold 0 by convention)"
         )
-    return _bisect(lambda q: min_cover_weight(h, q)[0] <= Fraction(1, 2), tol)
+    lo, hi = _bisect(lambda q: min_cover_weight(h, q)[0] <= Fraction(1, 2), tol)
+    return (lo + hi) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -519,28 +528,3 @@ def validate_cover(h: Hypergraph, cover: Cover) -> tuple[bool, list[str]]:
         reasons.append(f"weight {float(exact)} exceeds 1/2")
     return not reasons, reasons
 
-
-def check_spread_not_small(h: Hypergraph) -> tuple[bool, dict]:
-    """Spread bars smallness: at q = 1/kappa the family is never q-small.
-
-    Computes kappa, then the exact minimum cover weight at q = min(1, 1/kappa).
-    Two claims are checked together: the family is not q-small there (minimum
-    weight > 1/2), and no undercovering family in fact gets below total weight
-    1.  The weight-1 comparison gets 1e-9 of slack (``_SPREAD_TOL``) because
-    kappa itself is a float.
-    """
-    sw = spread_of(h)
-    q = min(1.0, 1.0 / sw.kappa)
-    small, cover = is_q_small(h, q)
-    weight = cover_weight(cover.edges, q)
-    passed = (not small) and float(weight) >= 1.0 - _SPREAD_TOL
-    details = {
-        "kappa": sw.kappa,
-        "q": q,
-        "is_q_small": small,
-        "min_cover_weight": float(weight),
-        "witness_size": len(sw.witness),
-        "witness_count": sw.count,
-        "cover_edges": len(cover.edges),
-    }
-    return passed, details

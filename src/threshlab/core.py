@@ -32,8 +32,6 @@ __all__ = [
     "contains_edge",
     "undercovers",
     "minimize",
-    "restrict",
-    "pad",
     "sample_bernoulli",
     "sample_uniform_of_size",
     "iter_submasks",
@@ -265,42 +263,6 @@ def minimize(h: Hypergraph) -> Hypergraph:
     later calls; it is its own canonical form, so minimizing it returns it.
     """
     return h._minimized
-
-
-def restrict(h: Hypergraph, w: VertexSet) -> Hypergraph:
-    """Delete the vertices of w: edges become S minus w on the ground set
-    X minus w.
-
-    Re-indexing is order preserving: surviving vertex v gets the new index
-    equal to its rank among surviving vertices.  Edge order and duplicates
-    are preserved.  restrict(h, empty) is h itself.
-    """
-    if w.mask >> h.ground_size:
-        raise ValueError("removed set exceeds the ground set")
-    if w.mask == 0:
-        return h
-    survivors = [v for v in range(h.ground_size) if v not in w]
-    new_index = {v: i for i, v in enumerate(survivors)}
-    wm = w.mask
-    new_edges = []
-    for m in h.masks:
-        nm = 0
-        for v in lex_key(m & ~wm):
-            nm |= 1 << new_index[v]
-        new_edges.append(nm)
-    return Hypergraph.from_masks(len(survivors), new_edges)
-
-
-def pad(h: Hypergraph, extra: int) -> Hypergraph:
-    """Append `extra` isolated vertices (vertices in no edge).
-
-    Padding never changes smallness, spread, or the critical probability; it
-    exists so fixed-size vertex samples on a padded ground set can emulate
-    independent sampling rates on the original one.
-    """
-    if extra < 0:
-        raise ValueError("padding must be non-negative")
-    return Hypergraph(h.ground_size + extra, h.edges)
 
 
 def iter_submasks(mask: int) -> Iterator[int]:

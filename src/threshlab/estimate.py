@@ -29,11 +29,11 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, fsum, log2, sqrt
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
-from .certify import _SPREAD_TOL, _bisect, _check_tol, check_spread_not_small, max_small_q
+from .certify import _bisect, _check_tol, max_small_q, min_cover_weight, spread_of
 from .core import (
     Hypergraph,
     ResourceLimitError,
@@ -47,6 +47,7 @@ from .process import _fragment_all, _validate_factor, round_sample_size
 __all__ = [
     "Z95",
     "EXACT_GROUND_LIMIT",
+    "Q_ABOVE_FACTOR",
     "ThresholdEstimate",
     "CheckReport",
     "parallel_map",
@@ -79,6 +80,11 @@ _INCLEXCL_EDGE_LIMIT = 16
 _MC_MAX_STEPS = 40
 # Slack on both sides of the threshold sandwich q <= p_c <= 8 q log2(2 ell).
 _THRESHOLD_TOL = 1e-6
+# Slack on the spread check's weight-1 comparison: kappa itself is a float.
+_SPREAD_TOL = 1e-9
+# max_small_q(h) times this is a q just above the small range, where h is
+# no longer q-small.
+Q_ABOVE_FACTOR = 1.0 + 1e-6
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -303,7 +309,8 @@ def critical_probability(h: Hypergraph, *, tol: float = 1e-9) -> float:
     if h.has_empty_edge():
         return 0.0
     containment_counts(h)  # fail fast on oversized ground sets
-    return _bisect(lambda p: containment_probability(h, p) < 0.5, tol)
+    lo, hi = _bisect(lambda p: containment_probability(h, p) < 0.5, tol)
+    return (lo + hi) / 2
 
 
 def mc_critical_probability(
@@ -316,10 +323,11 @@ def mc_critical_probability(
 ) -> ThresholdEstimate:
     """Bisection for the threshold driven by Monte Carlo estimates.
 
-    Each midpoint gets a fresh substream and `trials` samples; the bracket
-    moves only when the Wilson interval at `decision_z` lies entirely on one
-    side of one half.  The search stops at an ambiguous midpoint or once the
-    bracket is narrower than `tol`, and reports the bracket as the interval.
+    Step k (from 0) samples its midpoint on substream k with `trials`
+    samples; the bracket moves only when the Wilson interval at
+    `decision_z` lies entirely on one side of one half.  The search stops
+    at an ambiguous midpoint, after _MC_MAX_STEPS steps, or once the bracket
+    is no wider than `tol`, and reports the bracket as the interval.
     """
     _check_tol(tol)
     if trials <= 0:
@@ -328,23 +336,23 @@ def mc_critical_probability(
         raise ValueError("critical probability needs at least one edge")
     if h.has_empty_edge():
         return ThresholdEstimate(0.0, 0.0, 0.0, 0, rng.seed)
-    lo, hi = 0.0, 1.0
-    used = 0
-    for step in range(_MC_MAX_STEPS):
-        if hi - lo <= tol:
-            break
-        mid = (lo + hi) / 2.0
-        est = mc_containment_probability(h, mid, rng.substream(step), trials=trials)
-        used += est.trials
-        hits = round(est.value * est.trials)
-        w_lo, w_hi = wilson_interval(hits, est.trials, decision_z)
+    steps = 0
+
+    def below(p: float) -> bool | None:
+        nonlocal steps
+        if steps == _MC_MAX_STEPS:
+            return None
+        est = mc_containment_probability(h, p, rng.substream(steps), trials=trials)
+        steps += 1
+        w_lo, w_hi = wilson_interval(round(est.value * trials), trials, decision_z)
         if w_hi < 0.5:
-            lo = mid
-        elif w_lo > 0.5:
-            hi = mid
-        else:
-            break
-    return ThresholdEstimate((lo + hi) / 2.0, lo, hi, used, rng.seed)
+            return True
+        if w_lo > 0.5:
+            return False
+        return None
+
+    lo, hi = _bisect(below, tol)
+    return ThresholdEstimate((lo + hi) / 2.0, lo, hi, steps * trials, rng.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +421,7 @@ def verify_highprob_bound(
         raise ValueError("eps must lie strictly between 0 and 1")
     if trials <= 0:
         raise ValueError("trials must be positive")
-    qv = max_small_q(h) * (1.0 + 1e-6) if q is None else q
+    qv = max_small_q(h) * Q_ABOVE_FACTOR if q is None else q
     ell = h.max_edge_size()
     rate_raw = 48.0 * qv * log2(ell / eps)
     p = min(1.0, rate_raw)
@@ -562,21 +570,25 @@ def verify_first_moment(
 def verify_spread_not_small(h: Hypergraph, *, instance: str = "") -> CheckReport:
     """Spread bars smallness: at q = min(1, 1/kappa) no cover weighs under 1.
 
-    The report of `check_spread_not_small`: lhs is the exact minimum cover
-    weight at that q, against 1 with the check's own slack.
+    lhs is the exact minimum cover weight at that q.  The check passes when
+    h is not q-small there (that weight exceeds 1/2) and the weight reaches
+    1 up to 1e-9 of slack, because kappa itself is a float.
     """
-    passed, details = check_spread_not_small(h)
+    kappa = spread_of(h).kappa
+    q = min(1.0, 1.0 / kappa)
+    weight, _ = min_cover_weight(h, q)
+    small = weight <= Fraction(1, 2)
     return CheckReport(
         instance=instance,
         operation="spread_not_small",
-        lhs=details["min_cover_weight"],
+        lhs=float(weight),
         rhs=1.0,
         tolerance=_SPREAD_TOL,
-        passed=passed,
+        passed=not small and float(weight) >= 1.0 - _SPREAD_TOL,
         vacuous=False,
         seed=None,
         trials=0,
-        details={k: details[k] for k in ("kappa", "q", "is_q_small")},
+        details={"kappa": kappa, "q": q, "is_q_small": small},
     )
 
 

@@ -42,6 +42,7 @@ import numpy as np
 from .certify import exhaustive_min_cover_weight, is_q_small, max_small_q, min_cover_weight
 from .core import Hypergraph, Rng, VertexSet, minimize, undercovers
 from .estimate import (
+    Q_ABOVE_FACTOR,
     CheckReport,
     constant_check,
     containment_probability,
@@ -154,7 +155,7 @@ def _sigma3(p: float, n: int) -> float:
 
 def _q_above(name: str) -> float:
     """The q the process criteria run at: just above the largest small q."""
-    return q_star(name) * (1.0 + 1e-6)
+    return q_star(name) * Q_ABOVE_FACTOR
 
 
 def _run_block(item: tuple) -> object:

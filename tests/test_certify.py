@@ -10,7 +10,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from math import prod
+from math import nextafter, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import threshlab.certify as certify
 from threshlab.certify import (
     Cover,
-    check_spread_not_small,
     cover_from_json,
     cover_to_json,
     cover_weight,
@@ -40,9 +39,9 @@ from threshlab.core import (
     VertexSet,
     iter_submasks,
     minimize,
-    pad,
     undercovers,
 )
+from threshlab.estimate import verify_spread_not_small
 from threshlab.families import (
     hamilton_cycles,
     perfect_matchings,
@@ -272,7 +271,7 @@ def test_weight_is_monotone_in_q():
 def test_threshold_ignores_padding_and_redundant_edges():
     h = sunflower(1, 3, 2)
     base = max_small_q(h)
-    assert max_small_q(pad(h, 4)) == base
+    assert max_small_q(Hypergraph(h.ground_size + 4, h.edges)) == base
     fat = Hypergraph(h.ground_size, h.edges + (h.edges[0] | h.edges[1], h.edges[2]))
     assert max_small_q(fat) == base
 
@@ -297,7 +296,7 @@ def test_node_budget_enforced(monkeypatch):
     with pytest.raises(ResourceLimitError):
         min_cover_weight(triangles(5), 0.3)
     with pytest.raises(ResourceLimitError):
-        check_spread_not_small(triangles(4))
+        verify_spread_not_small(triangles(4))
 
 
 def test_exact_tie_prunes_at_the_root(monkeypatch):
@@ -336,6 +335,27 @@ def test_max_small_q_degenerate_inputs():
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             max_small_q(hg(1, (0,)), tol=tol)
+
+
+def test_bisect_stops_on_adjacent_floats():
+    # 1e-300 is far below the float spacing at 0.3, so the bracket stops
+    # shrinking at two adjacent floats; the search once spun there forever
+    calls = 0
+
+    def below(x):
+        nonlocal calls
+        calls += 1
+        if calls > 2000:
+            raise AssertionError("the bisection did not stop")
+        return x < 0.3
+
+    lo, hi = certify._bisect(below, 1e-300)
+    assert lo < 0.3 <= hi and nextafter(lo, 1.0) == hi
+
+
+def test_bisect_stops_where_the_predicate_cannot_decide():
+    assert certify._bisect(lambda x: None, 1e-9) == (0.0, 1.0)
+    assert certify._bisect(lambda x: None if x < 0.3 else False, 1e-9) == (0.0, 0.5)
 
 
 def test_min_cover_rejects_out_of_range_q():
@@ -412,20 +432,20 @@ def test_spread_degenerate_inputs(monkeypatch):
         spread_of(triangles(4))
 
 
-def test_check_spread_not_small_on_uniform_instance():
-    ok, details = check_spread_not_small(triangles(4))
-    assert ok
-    assert abs(details["kappa"] - 4 ** (1 / 3)) <= 1e-12
-    assert not details["is_q_small"]
-    assert details["min_cover_weight"] >= 1.0 - 1e-9
+def test_verify_spread_not_small_on_uniform_instance():
+    r = verify_spread_not_small(triangles(4))
+    assert r.passed
+    assert abs(r.details["kappa"] - 4 ** (1 / 3)) <= 1e-12
+    assert not r.details["is_q_small"]
+    assert r.lhs >= 1.0 - 1e-9
 
 
-def test_check_spread_not_small_with_shared_core():
+def test_verify_spread_not_small_with_shared_core():
     # kappa = 1 pins q at 1, where any nonempty cover weighs at least 1
-    ok, details = check_spread_not_small(sunflower(1, 3, 2))
-    assert ok
-    assert details["q"] == 1.0
-    assert details["min_cover_weight"] >= 1.0
+    r = verify_spread_not_small(sunflower(1, 3, 2))
+    assert r.passed
+    assert r.details["q"] == 1.0
+    assert r.lhs >= 1.0
 
 
 # ---------------------------------------------------------------------------

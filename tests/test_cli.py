@@ -177,21 +177,35 @@ def test_pc_mc_is_deterministic(triangles4, capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("tol", ["0", "-1"])
-def test_pc_nonpositive_tol_exits_2(tmp_path, tol):
-    # Such a tol once made the exact bisection spin forever on adjacent
-    # floats; a subprocess with a timeout turns a hang into a failure.
+def run_on_two_singletons(tmp_path, *argv):
+    """Run `threshlab <argv[0]> <two-singleton file> <argv[1:]>` in a
+    subprocess with a timeout, which turns a hang into a failure."""
     path = tmp_path / "s2.txt"
     path.write_text("n 2\n0\n1\n")
     src = str(Path(threshlab.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "threshlab", "pc", str(path), "--tol", tol],
+    return subprocess.run(
+        [sys.executable, "-m", "threshlab", argv[0], str(path), *argv[1:]],
         capture_output=True, text=True, timeout=30, env=env,
     )
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_pc_nonpositive_tol_exits_2(tmp_path, tol):
+    # Such a tol once made the exact bisection spin forever on adjacent floats.
+    proc = run_on_two_singletons(tmp_path, "pc", "--tol", tol)
     assert proc.returncode == 2
     assert "tol must be finite and positive" in proc.stderr
+
+
+@pytest.mark.parametrize("command, answer", [("pc", 0.2928932188134524), ("qsmall", 0.25)])
+def test_tol_below_float_spacing_ends(tmp_path, command, answer):
+    # 1e-20 is below the float spacing at either answer: the bisection once
+    # spun there forever, and now stops on adjacent floats.
+    proc = run_on_two_singletons(tmp_path, command, "--tol", "1e-20")
+    assert proc.returncode == 0
+    assert float(proc.stdout.split("=")[1]) == answer
 
 
 @pytest.mark.parametrize(

@@ -15,10 +15,8 @@ from threshlab.core import (
     format_hypergraph,
     iter_submasks,
     minimize,
-    pad,
     parse_hypergraph,
     read_hypergraph,
-    restrict,
     sample_bernoulli,
     sample_uniform_of_size,
     undercovers,
@@ -203,47 +201,12 @@ def test_minimize_keeps_upward_closure():
 
 
 # ---------------------------------------------------------------------------
-# restrict / pad
-
-
-def test_restrict_deletes_and_reindexes():
-    h = hg(3, (0, 1))
-    assert restrict(h, vs(0)) == hg(2, (0,))
-
-
-def test_restrict_can_create_the_empty_edge():
-    h = hg(1, (0,))
-    assert restrict(h, vs(0)) == hg(0, ())
-
-
-def test_restrict_leaves_untouched_edges():
-    h = hg(3, (1, 2))
-    assert restrict(h, vs(0)) == hg(2, (0, 1))
-
-
-def test_restrict_empty_w_is_identity():
-    h = hg(3, (0, 2))
-    assert restrict(h, VertexSet()) is h
-
-
-def test_restrict_rejects_foreign_vertices():
-    with pytest.raises(ValueError):
-        restrict(hg(2, (0,)), vs(5))
-
-
-def test_pad_adds_isolated_vertices():
-    h = hg(2, (0, 1))
-    p = pad(h, 3)
-    assert p.ground_size == 5
-    assert p.edges == h.edges
-    assert pad(h, 0) == h
-    with pytest.raises(ValueError):
-        pad(h, -1)
+# isolated vertices
 
 
 def test_pad_preserves_containment_on_old_ground():
     h = hg(3, (0, 1), (2,))
-    p = pad(h, 4)
+    p = Hypergraph(h.ground_size + 4, h.edges)
     for w_mask in range(1 << 3):
         w = VertexSet(w_mask)
         assert contains_edge(h, w) == contains_edge(p, w)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import threshlab.estimate as estimate
 import threshlab.process as process
-from threshlab.certify import check_spread_not_small
+from threshlab.certify import max_small_q, min_cover_weight, spread_of
 from threshlab.core import Hypergraph, ResourceLimitError, Rng
 from threshlab.estimate import (
     EXACT_GROUND_LIMIT,
@@ -52,13 +52,16 @@ def hg(n, *edges):
 
 
 def brute_containment(h, p):
-    """Sum p^|Y| (1-p)^(n-|Y|) over subsets Y containing an edge."""
+    """Sum p^k (1-p)^(n-k) over the k-subsets of range(n) that contain an
+    edge (vertex sets): every subset listed, every edge tried."""
     n = h.ground_size
+    edges = [set(e.indices()) for e in h.edges]
     terms = []
-    for y in range(1 << n):
-        if any(m & ~y == 0 for m in h.masks):
-            k = bin(y).count("1")
-            terms.append(p**k * (1 - p) ** (n - k))
+    for k in range(n + 1):
+        for subset in combinations(range(n), k):
+            chosen = set(subset)
+            if any(edge <= chosen for edge in edges):
+                terms.append(p**k * (1 - p) ** (n - k))
     return fsum(terms)
 
 
@@ -230,6 +233,11 @@ def test_critical_probability_degenerate():
                 critical_probability(h, tol=tol)
             with pytest.raises(ValueError, match="tol must be finite and positive"):
                 mc_critical_probability(h, Rng(0), trials=64, tol=tol)
+    # 1e-300 is below the float spacing at either answer: the bisection once
+    # spun there forever, and now stops on adjacent floats
+    assert max_small_q(singletons(2), tol=1e-300) == 0.25
+    fine = critical_probability(singletons(2), tol=1e-300)
+    assert abs(fine - critical_probability(singletons(2))) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +360,24 @@ def test_mc_critical_probability_brackets_exact():
     assert est.ci_low <= exact <= est.ci_high
     assert est.ci_low <= est.value <= est.ci_high
     assert est.trials % 4096 == 0 and est.trials > 0
+    # five decided steps, then an ambiguous sixth midpoint stops the search
+    assert est == ThresholdEstimate(0.203125, 0.1875, 0.21875, 24576, 5)
+
+
+def test_mc_critical_probability_stops(monkeypatch):
+    # four decided steps leave a bracket no wider than tol
+    assert mc_critical_probability(
+        singletons(3), Rng(5), trials=4096, tol=0.1
+    ) == ThresholdEstimate(0.21875, 0.1875, 0.25, 16384, 5)
+    # the fourth midpoint is ambiguous
+    assert mc_critical_probability(
+        triangles(5), Rng(7), trials=1024, tol=1e-6
+    ) == ThresholdEstimate(0.4375, 0.375, 0.5, 4096, 7)
+    # the step budget ends the search after its last step
+    monkeypatch.setattr(estimate, "_MC_MAX_STEPS", 2)
+    assert mc_critical_probability(
+        singletons(3), Rng(5), trials=4096, tol=1e-2
+    ) == ThresholdEstimate(0.125, 0.0, 0.25, 8192, 5)
 
 
 def test_mc_critical_probability_degenerate():
@@ -473,14 +499,14 @@ def test_verify_fragment_weight_accepts_precomputed_samples():
 
 
 def test_verify_spread_not_small_reports_the_check():
-    ok, details = check_spread_not_small(triangles(4))
-    r = verify_spread_not_small(triangles(4), instance="triangles-4")
-    assert (r.instance, r.operation, r.passed) == ("triangles-4", "spread_not_small", ok)
-    assert (r.lhs, r.rhs, r.tolerance) == (details["min_cover_weight"], 1.0, 1e-9)
+    h = triangles(4)
+    kappa = spread_of(h).kappa
+    weight, _ = min_cover_weight(h, 1.0 / kappa)
+    r = verify_spread_not_small(h, instance="triangles-4")
+    assert (r.instance, r.operation, r.passed) == ("triangles-4", "spread_not_small", True)
+    assert (r.lhs, r.rhs, r.tolerance) == (float(weight), 1.0, 1e-9)
     assert (r.vacuous, r.seed, r.trials) == (False, None, 0)
-    assert r.details == {
-        "kappa": details["kappa"], "q": details["q"], "is_q_small": False,
-    }
+    assert r.details == {"kappa": kappa, "q": 1.0 / kappa, "is_q_small": False}
 
 
 def test_verify_first_moment():
