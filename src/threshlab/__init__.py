@@ -35,7 +35,6 @@ from .core import (
     sample_bernoulli,
     sample_uniform_of_size,
     undercovers,
-    write_hypergraph,
 )
 from .estimate import (
     CheckReport,

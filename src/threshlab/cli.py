@@ -70,7 +70,7 @@ from .suite import DEFAULT_SEED, Q_FRAG, run_suite
 __all__ = ["main"]
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(name: str, fallback: int | None) -> int | None:
     raw = os.environ.get(name)
     if raw is None:
         return fallback
@@ -235,7 +235,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     seed_default = _env_int("THRESHLAB_SEED", DEFAULT_SEED)
-    trials_default = _env_int("THRESHLAB_TRIALS", 0) or None
+    trials_default = _env_int("THRESHLAB_TRIALS", None)
     workers_default = _env_int("THRESHLAB_WORKERS", 1)
 
     top = argparse.ArgumentParser(

@@ -38,7 +38,6 @@ __all__ = [
     "parse_hypergraph",
     "format_hypergraph",
     "read_hypergraph",
-    "write_hypergraph",
 ]
 
 # Largest ground size the text and certificate readers accept.  They check it
@@ -419,8 +418,3 @@ def format_hypergraph(h: Hypergraph) -> str:
 def read_hypergraph(path) -> Hypergraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_hypergraph(fh.read())
-
-
-def write_hypergraph(h: Hypergraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_hypergraph(h))

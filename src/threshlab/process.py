@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, fsum, log2
+from math import comb, fsum, log2
 from typing import Callable, Sequence
 
 import numpy as np
@@ -269,14 +269,15 @@ class ProcessTrace:
 def round_sample_size(ell_factor: float, q: float, ground_remaining: int) -> int:
     """ceil(L * q * n) capped at n, with the product taken exactly.
 
-    The ceiling is applied to the exact rational product of the given float
-    arguments, so the result never depends on multiplication order or on
-    intermediate rounding.  Note that representation noise in q itself is
-    honored: the float 0.1 is a shade above 1/10, so L=8, q=0.1, n=10 gives
-    ceil of a number just over 8, which is 9.
+    With L = a / b and q = c / d exactly, the ceiling is that of the integer
+    ratio a * c * n / (b * d), so the result never depends on multiplication
+    order or on intermediate rounding.  Note that representation noise in q
+    itself is honored: the float 0.1 is a shade above 1/10, so L=8, q=0.1,
+    n=10 gives ceil of a number just over 8, which is 9.
     """
-    m = ceil(Fraction(ell_factor) * Fraction(q) * ground_remaining)
-    return min(ground_remaining, m)
+    a, b = ell_factor.as_integer_ratio()
+    c, d = q.as_integer_ratio()
+    return min(ground_remaining, -(-a * c * ground_remaining // (b * d)))
 
 
 def _validate_factor(ell_factor: float) -> None:
@@ -381,7 +382,8 @@ class _Run:
         hd = self.hd
         tw = VertexSet(self.total_w)
         u_edges = tuple(VertexSet(m) for m in sorted(self.u_masks, key=lex_key))
-        u_weight = float(cover_weight(u_edges, self.q)) if u_edges else 0.0
+        # the exact weight of U, kept for the retry run's invariants
+        self.u_weight = cover_weight(u_edges, self.q) if u_edges else 0
         contained = contains_edge(hd, tw)
         u_under = undercovers(Hypergraph(hd.ground_size, u_edges), hd)
         found = self.found_edge is not None
@@ -401,7 +403,7 @@ class _Run:
             found_edge=None if self.found_edge is None else VertexSet(self.found_edge),
             total_w=tw,
             u_edges=u_edges,
-            u_weight=u_weight,
+            u_weight=float(self.u_weight),
             contained=contained,
             u_undercovers=u_under,
             dichotomy_ok=found != u_under,
@@ -461,15 +463,16 @@ def run_halving(
 def retry_round_count(ell: int, eps: float) -> int:
     """6 * floor(log2(ell / eps)), the fixed round budget of the retry run.
 
-    The ratio is formed exactly from the float eps, so the floor is the
-    floor of the true ratio rather than of a rounded logarithm.
+    With eps = a / d exactly, floor(ell / eps) is the integer floor of
+    ell * d / a, so the floor is that of the true ratio rather than of a
+    rounded logarithm.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    fr = Fraction(ell) / Fraction(eps)
-    return 6 * (fr.numerator // fr.denominator).bit_length() - 6
+    a, d = eps.as_integer_ratio()
+    return 6 * (ell * d // a).bit_length() - 6
 
 
 @lru_cache(maxsize=256)
@@ -527,18 +530,12 @@ def run_retry(
             ell //= 2
             continue
         n_rem, w, collapse, frags = run.fragment_round(i, cur)
-        thr = retry_round_threshold(ell, ell_factor)
         if collapse is not None:
-            if run.found_edge is None:
-                run.found_edge = collapse
-            # Every fragment is empty: a weightless, trivially successful
-            # filter round.  The process keeps to its fixed schedule.
-            run.record(i, ell, n_rem, w, "success", threshold=float(thr), survivors=1)
-            threshold_sum += thr
-            cur = [0]
-            ell //= 2
-            continue
+            # Every fragment is empty: a weightless, successful round that
+            # leaves only no-op rounds in the fixed schedule.
+            run.found_edge, frags = collapse, [0]
         exiled, survivors = _split(frags, ell // 2)
+        thr = retry_round_threshold(ell, ell_factor)
         ex_weight = cover_weight([VertexSet(f) for f in exiled], q) if exiled else 0
         if ex_weight <= thr:
             threshold_sum += thr
@@ -563,10 +560,9 @@ def run_retry(
     trace = run.finish("retry", eps, planned, "success")
     if (ell < 1) != (trace.successes >= run.ell_start.bit_length()):
         raise ProcessInvariantError("size-bound schedule out of step with successes")
-    u_exact = cover_weight(trace.u_edges, q) if trace.u_edges else Fraction(0)
-    if u_exact > threshold_sum:
+    if run.u_weight > threshold_sum:
         raise ProcessInvariantError("exiled family outweighs its round thresholds")
-    if ell_factor == 8 and u_exact > _U_WEIGHT_CAP:
+    if ell_factor == 8 and run.u_weight > _U_WEIGHT_CAP:
         raise ProcessInvariantError("exiled family exceeds the factor-8 weight cap")
     if not trace.found and ell < 1 and not trace.u_undercovers:
         raise ProcessInvariantError(
@@ -579,16 +575,16 @@ def run_retry(
 # restart process
 
 
-@lru_cache(maxsize=256)
 def restart_attempt_count(eps: float) -> int:
-    """ceil(log2(1 / eps)) attempts, at least 1."""
+    """ceil(log2(1 / eps)) attempts, at least 1.
+
+    With eps = a / d exactly, that is the least k with 2^k * a >= d, the
+    bit length of ceil(d / a) - 1; eps < 1 makes it at least 1.
+    """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    fr = 1 / Fraction(eps)
-    k = 0
-    while Fraction(2) ** k < fr:
-        k += 1
-    return max(1, k)
+    a, d = eps.as_integer_ratio()
+    return (-(-d // a) - 1).bit_length()
 
 
 def restart_rate(ell: int, q: float) -> float:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import threshlab.certify as certify
 from threshlab.certify import (
-    Cover,
     cover_from_json,
     cover_to_json,
     cover_weight,
@@ -430,14 +429,6 @@ def test_spread_degenerate_inputs(monkeypatch):
     monkeypatch.setattr(certify, "SPREAD_BUDGET", 10)
     with pytest.raises(ResourceLimitError):
         spread_of(triangles(4))
-
-
-def test_verify_spread_not_small_on_uniform_instance():
-    r = verify_spread_not_small(triangles(4))
-    assert r.passed
-    assert abs(r.details["kappa"] - 4 ** (1 / 3)) <= 1e-12
-    assert not r.details["is_q_small"]
-    assert r.lhs >= 1.0 - 1e-9
 
 
 def test_verify_spread_not_small_with_shared_core():

@@ -463,6 +463,15 @@ def test_pc_env_defaults_with_and_without_mc(triangles4, capsys, monkeypatch):
     assert run(capsys, "pc", triangles4, "--mc") == (0, via_flags, "")
 
 
+def test_zero_trials_env_exits_2(triangles4, capsys, monkeypatch):
+    # 0 is a value like any other: refused as --trials 0 is, not taken as unset
+    monkeypatch.setenv("THRESHLAB_TRIALS", "0")
+    code, out, err = run(capsys, "pc", triangles4, "--mc")
+    assert code == 2 and out == "" and "trials must be positive" in err
+    code, _, err = run(capsys, "verify", "fragweight", triangles4)
+    assert code == 2 and "trials must be positive" in err
+
+
 def test_bad_seed_env_is_reported(capsys, monkeypatch):
     monkeypatch.setenv("THRESHLAB_SEED", "soon")
     code, _, err = run(capsys, "verify", "constants")

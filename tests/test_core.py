@@ -20,7 +20,6 @@ from threshlab.core import (
     sample_bernoulli,
     sample_uniform_of_size,
     undercovers,
-    write_hypergraph,
 )
 from threshlab.families import sunflower
 
@@ -387,5 +386,5 @@ def test_parse_caps_the_total_mask_bits():
 def test_read_write_files(tmp_path):
     h = hg(4, (0, 3), (1,))
     path = tmp_path / "h.txt"
-    write_hypergraph(h, path)
+    path.write_text(format_hypergraph(h), encoding="utf-8")
     assert read_hypergraph(path) == h

@@ -9,7 +9,6 @@ given (seed, trials), so those tests are exact regressions.
 from itertools import combinations
 from math import comb, fsum, log2
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -501,10 +500,12 @@ def test_verify_fragment_weight_accepts_precomputed_samples():
 def test_verify_spread_not_small_reports_the_check():
     h = triangles(4)
     kappa = spread_of(h).kappa
+    assert abs(kappa - 4 ** (1 / 3)) <= 1e-12
     weight, _ = min_cover_weight(h, 1.0 / kappa)
     r = verify_spread_not_small(h, instance="triangles-4")
     assert (r.instance, r.operation, r.passed) == ("triangles-4", "spread_not_small", True)
     assert (r.lhs, r.rhs, r.tolerance) == (float(weight), 1.0, 1e-9)
+    assert r.lhs >= 1.0 - 1e-9
     assert (r.vacuous, r.seed, r.trials) == (False, None, 0)
     assert r.details == {"kappa": kappa, "q": 1.0 / kappa, "is_q_small": False}
 

@@ -9,6 +9,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -233,7 +234,22 @@ def test_lift_sample_matches_a_loop_over_the_active_vertices(data):
 # schedule arithmetic
 
 
-def test_round_sample_size_exact_ceiling():
+# Unit-interval floats for eps and q: any float in (0, 1), subnormals
+# included, plus the extremes and exact powers of two drawn on purpose.
+unit_floats = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1 - 2**-53, 0.1, 0.5]),
+    st.integers(1, 1074).map(lambda k: 2.0**-k),
+)
+factors = st.one_of(
+    st.sampled_from([8, 3.5, 1.1]),
+    st.floats(1.0, 1e12, exclude_min=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors, unit_floats, st.integers(0, 10**6))
+def test_round_sample_size_exact_ceiling(ell_factor, q, n):
     # float 0.1 is a shade above 1/10, so the exact product tops 8 and the
     # ceiling honestly lands at 9
     assert round_sample_size(8, 0.1, 10) == 9
@@ -242,9 +258,14 @@ def test_round_sample_size_exact_ceiling():
     assert round_sample_size(8, 0.5, 3) == 3  # capped at the ground size
     assert round_sample_size(2, 0.3, 5) == 3
     assert round_sample_size(8, 0.9, 10) == 10
+    # drawn inputs against the ceiling of the exact Fraction product
+    oracle = min(n, ceil(Fraction(ell_factor) * Fraction(q) * n))
+    assert round_sample_size(ell_factor, q, n) == oracle
 
 
-def test_retry_round_count():
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**6), unit_floats)
+def test_retry_round_count(ell, eps):
     assert retry_round_count(2, 0.5) == 12  # 6 * floor(log2 4)
     assert retry_round_count(1, 0.5) == 6
     assert retry_round_count(4, 0.5) == 18
@@ -253,6 +274,10 @@ def test_retry_round_count():
         retry_round_count(0, 0.5)
     with pytest.raises(ValueError):
         retry_round_count(2, 1.0)
+    # drawn inputs against the floor of the exact Fraction ratio
+    fr = Fraction(ell) / Fraction(eps)
+    oracle = 6 * (fr.numerator // fr.denominator).bit_length() - 6
+    assert retry_round_count(ell, eps) == oracle
 
 
 def test_retry_round_threshold_exact():
@@ -263,7 +288,9 @@ def test_retry_round_threshold_exact():
         retry_round_threshold(2, ell_factor=1.0)
 
 
-def test_restart_attempt_count():
+@settings(max_examples=300, deadline=None)
+@given(unit_floats)
+def test_restart_attempt_count(eps):
     assert restart_attempt_count(0.5) == 1
     assert restart_attempt_count(0.6) == 1
     assert restart_attempt_count(0.25) == 2
@@ -273,6 +300,11 @@ def test_restart_attempt_count():
         restart_attempt_count(0.0)
     with pytest.raises(ValueError):
         restart_attempt_count(1.0)
+    # drawn inputs against a search over powers of two in Fractions
+    k = 0
+    while Fraction(2) ** k < 1 / Fraction(eps):
+        k += 1
+    assert restart_attempt_count(eps) == max(1, k)
 
 
 def test_restart_rate():
