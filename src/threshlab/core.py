@@ -295,14 +295,45 @@ class Rng:
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
 
-    @cached_property
+    @property
     def generator(self) -> np.random.Generator:
-        """Built on first use, so an Rng that only hands out substreams is cheap."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.PCG64(ss))
+        """Built on first use, so an Rng that only hands out substreams is cheap.
+
+        The seed sequence is SeedSequence(seed, spawn_key=path), given as the
+        one uint32 entropy array that SeedSequence assembles from them: the
+        seed's words, padded with zeros to the pool size of 4 when a path
+        follows, then the words of each path element.  That hashes the same
+        words in the same order and skips numpy's per-element coercion.  The
+        generator is cached by hand: functools.cached_property takes a lock
+        on every first use before Python 3.12, and most Rng objects are used
+        once.
+        """
+        gen = self.__dict__.get("_generator")
+        if gen is None:
+            words = _entropy_words(self.seed)
+            if self.path:
+                words += [0] * (4 - len(words))
+                for p in self.path:
+                    words += _entropy_words(p)
+            ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+            gen = self._generator = np.random.Generator(np.random.PCG64(ss))
+        return gen
 
     def substream(self, index: int) -> "Rng":
         return Rng(self.seed, self.path + (index,))
+
+
+def _entropy_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence reads one: its 32-bit words, least
+    significant first, and [0] for 0."""
+    if n < 0:
+        raise ValueError("seed and path entries must be non-negative")
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
 
 
 def _mask_from_bits(bits: np.ndarray) -> int:

@@ -42,7 +42,13 @@ from .core import (
     minimize,
     sample_uniform_of_size,
 )
-from .process import _fragment_all, _validate_factor, round_sample_size
+from .process import (
+    DEFAULT_ELL_FACTOR,
+    RETRY_ROUNDS_PER_DOUBLING,
+    _fragment_all,
+    _validate_factor,
+    round_sample_size,
+)
 
 __all__ = [
     "Z95",
@@ -413,9 +419,12 @@ def verify_highprob_bound(
 
     Takes q a hair above the largest certified-small value, so the family is
     not q-small, and checks that at p = min(1, 48 q log2(ell / eps)) the
-    containment probability reaches 1 - eps.  Exact route on small ground
-    sets, Monte Carlo with three standard errors of slack otherwise.
-    Vacuous when the rate clamped at 1.
+    containment probability reaches 1 - eps.  48 is the retry schedule's
+    default sampling factor L = 8 times its 6 rounds per doubling of
+    ell / eps, taken from the process module, so the check and the process
+    cannot drift apart.  Exact route on small ground sets, Monte Carlo with
+    three standard errors of slack otherwise.  Vacuous when the rate clamped
+    at 1.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
@@ -423,7 +432,7 @@ def verify_highprob_bound(
         raise ValueError("trials must be positive")
     qv = max_small_q(h) * Q_ABOVE_FACTOR if q is None else q
     ell = h.max_edge_size()
-    rate_raw = 48.0 * qv * log2(ell / eps)
+    rate_raw = DEFAULT_ELL_FACTOR * RETRY_ROUNDS_PER_DOUBLING * qv * log2(ell / eps)
     p = min(1.0, rate_raw)
     if p >= 1.0:
         # sampling at p = 1 keeps the whole ground set, which contains

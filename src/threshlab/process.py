@@ -35,7 +35,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,7 +43,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .certify import cover_weight
 from .core import (
     Hypergraph,
     ResourceLimitError,
@@ -54,13 +52,11 @@ from .core import (
     Rng,
     _bits_of_mask,
     _mask_from_bits,
-    contains_edge,
     iter_submasks,
     lex_key,
     minimize,
     sample_bernoulli,
     sample_uniform_of_size,
-    undercovers,
 )
 
 __all__ = [
@@ -85,6 +81,11 @@ __all__ = [
 ]
 
 FRAGMENT_BUDGET = 1 << 22
+
+# The sampling factor L of the halving and retry schedules when the caller
+# sets none, and the retry budget's rounds per doubling of ell / eps.
+DEFAULT_ELL_FACTOR = 8
+RETRY_ROUNDS_PER_DOUBLING = 6
 
 
 class ProcessInvariantError(ThreshlabError):
@@ -266,6 +267,19 @@ class ProcessTrace:
     successes: int
 
 
+def _build(cls, values: dict):
+    """cls(**values) for RoundRecord and ProcessTrace, every field given.
+
+    The generated __init__ of a frozen dataclass sets each field through
+    object.__setattr__; filling the instance dict at once builds an equal
+    object in a third of the time, and a run builds one RoundRecord per
+    round.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
 def round_sample_size(ell_factor: float, q: float, ground_remaining: int) -> int:
     """ceil(L * q * n) capped at n, with the product taken exactly.
 
@@ -277,7 +291,37 @@ def round_sample_size(ell_factor: float, q: float, ground_remaining: int) -> int
     """
     a, b = ell_factor.as_integer_ratio()
     c, d = q.as_integer_ratio()
-    return min(ground_remaining, -(-a * c * ground_remaining // (b * d)))
+    return _sample_size(a * c, b * d, ground_remaining)
+
+
+def _sample_size(num: int, den: int, ground_remaining: int) -> int:
+    """ceil(num * n / den) capped at n: the round size for L * q = num / den."""
+    return min(ground_remaining, -(-num * ground_remaining // den))
+
+
+def _size_counts(masks: Sequence[int]) -> dict[int, int]:
+    """How many of the masks have each size."""
+    sizes: dict[int, int] = {}
+    for m in masks:
+        t = m.bit_count()
+        sizes[t] = sizes.get(t, 0) + 1
+    return sizes
+
+
+def _exact_weight(sizes: dict[int, int], c: int, d: int) -> tuple[int, int]:
+    """The weight sum over sizes {t: count} of count * q^t for q = c / d,
+    exactly: a numerator over the denominator d^T, T the largest size.
+
+    Every term is an integer over d^T, so the sum needs no Fraction.  No
+    sizes weigh 0 / 1.
+    """
+    top = max(sizes, default=0)
+    return sum(k * c**t * d ** (top - t) for t, k in sizes.items()), d**top
+
+
+def _exceeds(num: int, den: int, bound: Fraction) -> bool:
+    """num / den > bound, decided by cross products."""
+    return num * bound.denominator > bound.numerator * den
 
 
 def _validate_factor(ell_factor: float) -> None:
@@ -307,10 +351,13 @@ class _Run:
     Processes run on the minimized input, which has the same upward closure
     and so the same containment events.  Next to it the state holds the
     unsampled ground (active), the union of the W's, the round records, the
-    found edge and the exiled family U, all as masks.
+    found edge and the exiled family U, all as masks.  q = c / d and the
+    round-size rate L * q = num / den are kept as integer ratios, read once.
     """
 
-    def __init__(self, h: Hypergraph, q: float, rng: Rng, ell_factor: float = 8) -> None:
+    def __init__(
+        self, h: Hypergraph, q: float, rng: Rng, ell_factor: float = DEFAULT_ELL_FACTOR
+    ) -> None:
         if not 0.0 < q < 1.0:
             raise ValueError("q must lie in (0, 1)")
         _validate_factor(ell_factor)
@@ -322,10 +369,13 @@ class _Run:
                 "the empty edge is inside every W; fragmentation is vacuous"
             )
         self.q = q
+        self.c, self.d = q.as_integer_ratio()
         self.rng = rng
         self.ell_factor = float(ell_factor)
+        a, b = self.ell_factor.as_integer_ratio()
+        self.num, self.den = a * self.c, b * self.d
         self.ell_start = self.hd.max_edge_size()
-        self.active = VertexSet.full(self.hd.ground_size).mask
+        self.active = (1 << self.hd.ground_size) - 1
         self.total_w = 0
         self.rounds: list[RoundRecord] = []
         self.found_edge: int | None = None
@@ -347,53 +397,57 @@ class _Run:
         in lex order) under it.  Returns the ground size before the draw, W,
         and the collapse edge and fragments as _fragment_all gives them."""
         n_rem = self.active.bit_count()
-        m = round_sample_size(self.ell_factor, self.q, n_rem)
+        m = _sample_size(self.num, self.den, n_rem)
         w = self.take(sample_uniform_of_size(n_rem, m, self.rng.substream(i)))
         return (n_rem, w, *_fragment_all(cur, w))
 
     def record(
         self, i: int, ell: int, n_rem: int, w: int, outcome: str,
-        exiles: Sequence[int] = (), *, exile: bool = True,
-        threshold: float | None = None, survivors: int = 0,
+        exiles: Sequence[int] = (), sizes: dict[int, int] | None = None, *,
+        exile: bool = True, threshold: float | None = None, survivors: int = 0,
     ) -> None:
         """Record round i.  exiles are the round's would-be exiles in lex
-        order, weighed per size as RoundRecord says; unless exile is False
-        they also join U."""
+        order, weighed per size as RoundRecord says (sizes, when given, are
+        their size counts); unless exile is False they also join U."""
         per_t: tuple[tuple[int, float], ...] = ()
         ex_sets: tuple[VertexSet, ...] = ()
         weight = 0.0
         if exiles:
-            counts = Counter(m.bit_count() for m in exiles)
+            counts = sizes or _size_counts(exiles)
             per_t = tuple((t, (self.q**t) * c) for t, c in sorted(counts.items()))
             weight = fsum(v for _, v in per_t)
             if exile:
                 self.u_masks.update(exiles)
                 ex_sets = tuple(VertexSet(f) for f in exiles)
-        self.rounds.append(RoundRecord(
-            i, ell, n_rem, VertexSet(w), ex_sets, weight,
-            outcome, self.ell_factor, per_t, threshold, survivors,
-        ))
+        self.rounds.append(_build(RoundRecord, dict(
+            index=i, ell=ell, ground_remaining=n_rem, w=VertexSet(w),
+            exiled=ex_sets, exiled_weight=weight, outcome=outcome,
+            ell_factor=self.ell_factor, per_t_weight=per_t, threshold=threshold,
+            survivor_count=survivors,
+        )))
 
     def finish(
         self, variant: str, eps: float | None, planned: int, success: str
     ) -> ProcessTrace:
         """The trace of the run; its successes are the rounds whose outcome
-        is success."""
-        hd = self.hd
-        tw = VertexSet(self.total_w)
-        u_edges = tuple(VertexSet(m) for m in sorted(self.u_masks, key=lex_key))
-        # the exact weight of U, kept for the retry run's invariants
-        self.u_weight = cover_weight(u_edges, self.q) if u_edges else 0
-        contained = contains_edge(hd, tw)
-        u_under = undercovers(Hypergraph(hd.ground_size, u_edges), hd)
+        is success.  Containment and undercovering are decided on masks, as
+        core.contains_edge and core.undercovers decide them; the exact
+        weight of U is kept as (numerator, denominator) for the retry run's
+        invariants."""
+        edges = self.hd.masks
+        outside = ~self.total_w
+        contained = any(e & outside == 0 for e in edges)
+        u = sorted(self.u_masks, key=lex_key)
+        u_under = bool(u) and all(any(r & ~s == 0 for r in u) for s in edges)
+        self.u_weight = _exact_weight(_size_counts(u), self.c, self.d) if u else (0, 1)
         found = self.found_edge is not None
         if found and not contained:
             raise ProcessInvariantError(
                 "found run without any original edge inside the union of the W's"
             )
-        return ProcessTrace(
+        return _build(ProcessTrace, dict(
             variant=variant,
-            ground_size=hd.ground_size,
+            ground_size=self.hd.ground_size,
             q=self.q,
             eps=eps,
             ell_start=self.ell_start,
@@ -401,14 +455,14 @@ class _Run:
             rounds=tuple(self.rounds),
             found=found,
             found_edge=None if self.found_edge is None else VertexSet(self.found_edge),
-            total_w=tw,
-            u_edges=u_edges,
-            u_weight=float(self.u_weight),
+            total_w=VertexSet(self.total_w),
+            u_edges=tuple(VertexSet(m) for m in u),
+            u_weight=self.u_weight[0] / self.u_weight[1],
             contained=contained,
             u_undercovers=u_under,
             dichotomy_ok=found != u_under,
             successes=[r.outcome for r in self.rounds].count(success),
-        )
+        ))
 
 
 def run_halving(
@@ -416,7 +470,7 @@ def run_halving(
     q: float,
     rng: Rng,
     *,
-    ell_factor: int = 8,
+    ell_factor: int = DEFAULT_ELL_FACTOR,
 ) -> ProcessTrace:
     """Fragment with a halving exile rule until edge sizes reach zero.
 
@@ -461,7 +515,8 @@ def run_halving(
 
 
 def retry_round_count(ell: int, eps: float) -> int:
-    """6 * floor(log2(ell / eps)), the fixed round budget of the retry run.
+    """6 * floor(log2(ell / eps)), the fixed round budget of the retry run:
+    RETRY_ROUNDS_PER_DOUBLING = 6 rounds per doubling of ell / eps.
 
     With eps = a / d exactly, floor(ell / eps) is the integer floor of
     ell * d / a, so the floor is that of the true ratio rather than of a
@@ -472,11 +527,11 @@ def retry_round_count(ell: int, eps: float) -> int:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     a, d = eps.as_integer_ratio()
-    return 6 * (ell * d // a).bit_length() - 6
+    return RETRY_ROUNDS_PER_DOUBLING * ((ell * d // a).bit_length() - 1)
 
 
 @lru_cache(maxsize=256)
-def retry_round_threshold(ell: int, ell_factor: float = 8) -> Fraction:
+def retry_round_threshold(ell: int, ell_factor: float = DEFAULT_ELL_FACTOR) -> Fraction:
     """Exile-weight budget for a round at size bound ell: twice the expected
     bound 2 * sum over t in (ell/2, ell] of L^-t * C(ell, t)."""
     _validate_factor(ell_factor)
@@ -497,7 +552,7 @@ def run_retry(
     eps: float,
     rng: Rng,
     *,
-    ell_factor: int = 8,
+    ell_factor: int = DEFAULT_ELL_FACTOR,
     failure_mode: str = "fragment",
 ) -> ProcessTrace:
     """Fixed-budget fragmentation that retries rounds with heavy exile.
@@ -524,11 +579,8 @@ def run_retry(
     cur: list[int] = list(run.hd.masks)
     ell = run.ell_start
     threshold_sum = Fraction(0)
-    for i in range(1, planned + 1):
-        if not cur or all(m == 0 for m in cur) or ell < 1:
-            run.record(i, ell, run.active.bit_count(), 0, "success", survivors=len(cur))
-            ell //= 2
-            continue
+    i = 1
+    while i <= planned and ell >= 1 and any(cur):
         n_rem, w, collapse, frags = run.fragment_round(i, cur)
         if collapse is not None:
             # Every fragment is empty: a weightless, successful round that
@@ -536,11 +588,11 @@ def run_retry(
             run.found_edge, frags = collapse, [0]
         exiled, survivors = _split(frags, ell // 2)
         thr = retry_round_threshold(ell, ell_factor)
-        ex_weight = cover_weight([VertexSet(f) for f in exiled], q) if exiled else 0
-        if ex_weight <= thr:
+        sizes = _size_counts(exiled)
+        if not _exceeds(*_exact_weight(sizes, run.c, run.d), thr):
             threshold_sum += thr
             run.record(
-                i, ell, n_rem, w, "success", exiled,
+                i, ell, n_rem, w, "success", exiled, sizes,
                 threshold=float(thr), survivors=len(survivors),
             )
             cur = survivors
@@ -553,16 +605,27 @@ def run_retry(
             else:
                 kept = sorted({mk & ~w for mk in cur}, key=lex_key)
             run.record(
-                i, ell, n_rem, w, "failure", exiled, exile=False,
+                i, ell, n_rem, w, "failure", exiled, sizes, exile=False,
                 threshold=float(thr), survivors=len(kept),
             )
             cur = kept
+        i += 1
+    # Nothing is left to fragment or the size bound reached zero, and neither
+    # changes again: the rest of the schedule is no-op rounds.
+    noop = dict(
+        ground_remaining=run.active.bit_count(), w=VertexSet(), exiled=(), exiled_weight=0.0,
+        outcome="success", ell_factor=run.ell_factor, per_t_weight=(), threshold=None,
+        survivor_count=len(cur),
+    )
+    for i in range(i, planned + 1):
+        run.rounds.append(_build(RoundRecord, {"index": i, "ell": ell, **noop}))
+        ell //= 2
     trace = run.finish("retry", eps, planned, "success")
     if (ell < 1) != (trace.successes >= run.ell_start.bit_length()):
         raise ProcessInvariantError("size-bound schedule out of step with successes")
-    if run.u_weight > threshold_sum:
+    if _exceeds(*run.u_weight, threshold_sum):
         raise ProcessInvariantError("exiled family outweighs its round thresholds")
-    if ell_factor == 8 and run.u_weight > _U_WEIGHT_CAP:
+    if ell_factor == 8 and _exceeds(*run.u_weight, _U_WEIGHT_CAP):
         raise ProcessInvariantError("exiled family exceeds the factor-8 weight cap")
     if not trace.found and ell < 1 and not trace.u_undercovers:
         raise ProcessInvariantError(

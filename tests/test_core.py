@@ -1,5 +1,6 @@
 """Core types, set operations, samplers, and the text format."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,7 +249,28 @@ def test_rng_substreams_are_stable_and_distinct():
     s3 = Rng(7, path=(3,)).substream(3).generator.random(4)
     assert (s2_first != s3).any()
     # a parent that only hands out substreams never builds its own stream
-    assert "generator" not in vars(base)
+    assert "_generator" not in vars(base)
+    assert base.generator is base.generator  # built once, then kept
+
+
+# Paths mix one-word entries with entries of several 32-bit words.
+paths = st.lists(
+    st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**80)), max_size=6
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)), paths)
+def test_rng_stream_is_the_spawn_key_seed_sequence(seed, path):
+    # Rng assembles SeedSequence's entropy array by hand; numpy's own
+    # assembly from (seed, spawn_key) is the oracle
+    want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path)).state
+    assert Rng(seed, path).generator.bit_generator.state == want
+
+
+def test_rng_path_entries_must_be_non_negative():
+    with pytest.raises(ValueError):
+        Rng(1, (2, -1)).generator
 
 
 def test_rng_seed_must_fit_64_bits():

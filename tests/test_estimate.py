@@ -44,6 +44,12 @@ from threshlab.families import (
     sunflower,
     triangles,
 )
+from threshlab.process import (
+    DEFAULT_ELL_FACTOR,
+    RETRY_ROUNDS_PER_DOUBLING,
+    retry_round_count,
+    run_retry,
+)
 
 
 def hg(n, *edges):
@@ -429,6 +435,18 @@ def test_highprob_bound_exact_route():
     assert r.details["p"] == pytest.approx(p)
     assert r.lhs == pytest.approx(1 - (1 - p * p) ** 8, abs=1e-12)
     assert r.passed
+
+
+def test_highprob_rate_is_the_retry_schedule_factor():
+    # 48 is the retry run's default sampling factor times its rounds per
+    # doubling of ell / eps, both as the process module runs them
+    per_doubling = retry_round_count(4, 0.25) - retry_round_count(2, 0.25)
+    assert per_doubling == RETRY_ROUNDS_PER_DOUBLING
+    tr = run_retry(sunflower(0, 8, 2), 0.05, 0.5, Rng(1))
+    assert {r.ell_factor for r in tr.rounds} == {DEFAULT_ELL_FACTOR}
+    assert DEFAULT_ELL_FACTOR * per_doubling == 48
+    r = verify_highprob_bound(sunflower(0, 8, 2), 0.5, Rng(3), q=0.004)
+    assert r.details["rate_unclamped"] == 48.0 * 0.004 * log2(2 / 0.5)
 
 
 def test_highprob_bound_mc_route_frozen():

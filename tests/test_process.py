@@ -7,6 +7,7 @@ these are exact regressions rather than statistical claims.
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
@@ -16,14 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshlab import process
+from threshlab.certify import cover_weight
 from threshlab.core import (
     Hypergraph,
     ResourceLimitError,
     Rng,
     TrivialHypergraphError,
     VertexSet,
+    contains_edge,
     lex_key,
     minimize,
+    undercovers,
 )
 from threshlab.families import singletons, sunflower, triangles
 from threshlab.process import (
@@ -361,6 +365,45 @@ def test_halving_is_deterministic_and_minimization_invariant():
     assert trace_to_json(run_halving(h, 0.01, Rng(2))) != a
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_flags_and_weight_match_the_core_oracles(data):
+    # The engine decides containment, undercovering and the weight of U on
+    # masks and integers; core.contains_edge, core.undercovers and
+    # certify.cover_weight stay the oracles.
+    n = data.draw(st.integers(1, 9))
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8))
+    h = Hypergraph.from_masks(n, masks)
+    q = data.draw(st.floats(0.005, 0.3))
+    factor = data.draw(st.sampled_from([8, 3.5]))
+    mode = data.draw(st.sampled_from(["fragment", "setminus"]))
+    rng = Rng(data.draw(st.integers(0, 2**32)))
+    hd = minimize(h)
+    for tr in (
+        run_halving(h, q, rng, ell_factor=factor),
+        run_retry(h, q, 0.25, rng, ell_factor=factor, failure_mode=mode),
+        run_restart(h, q, 0.25, rng),
+    ):
+        assert tr.contained == contains_edge(hd, tr.total_w)
+        assert tr.u_undercovers == undercovers(Hypergraph(n, tr.u_edges), hd)
+        assert tr.u_weight == float(cover_weight(tr.u_edges, q))
+        # records built without the generated __init__ equal ones built with it
+        assert replace(tr) == tr
+        assert all(replace(r) == r for r in tr.rounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=12), unit_floats)
+def test_exact_weight_matches_cover_weight(masks, q):
+    c, d = q.as_integer_ratio()
+    num, den = process._exact_weight(process._size_counts(masks), c, d)
+    exact = cover_weight([VertexSet(m) for m in masks], q)
+    assert Fraction(num, den) == exact
+    assert num / den == float(exact)
+    for bound in (Fraction(947, 2048), retry_round_threshold(2), exact):
+        assert process._exceeds(num, den, bound) == (exact > bound)
+
+
 def test_halving_budget_and_validation(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(process, "FRAGMENT_BUDGET", 1)
@@ -597,3 +640,56 @@ def test_pinned_traces_are_byte_identical():
     )
     assert {r.ell_factor for tr in traces["retry-fragment"] for r in tr.rounds} == {8.0, 3.5}
     assert {tr.found for tr in traces["restart"]} == {True, False}
+
+
+# The five instances of the suite's process criteria at the suite's
+# q_star * (1 + 1e-6), stored as literals so that a change to the cover
+# search cannot move these traces.  At these q nearly every run is found in
+# its first round, so the grid pins first rounds on up to 400 vertices and
+# retry's no-op tail after a collapse, which PINNED_CELLS reach only on
+# small grounds.
+SUITE_Q_CELLS = (
+    (singletons(6), 0.08333341682188725),
+    (singletons(8), 0.06250006296566175),
+    (triangles(5), 0.36840351863752163),
+    (sunflower(0, 50, 2), 0.10000010009313234),
+    (sunflower(0, 200, 2), 0.050000050279397044),
+)
+
+# sha256 of the JSON and CSV text of every trace of one variant over
+# SUITE_Q_CELLS, each eps of the suite and seeds 0-2, in order.
+SUITE_Q_DIGESTS = {
+    "halving": "d3fa4fb5be7ee9b42d632c7bb7b1819dcde83bb06366a55e9e4cb1fe212a24d0",
+    "retry": "c2bab6e5037e0139e9df90afedd1a0f3e45dd001794005553028e2ab64d6cbbc",
+    "restart": "bd74e94a75068c4ac3276ffc876cb6095bd8cc85a74cf12ba1415cb779add5ed",
+}
+
+
+def _suite_q_traces():
+    out = {name: [] for name in SUITE_Q_DIGESTS}
+    for c, (h, q) in enumerate(SUITE_Q_CELLS):
+        for seed in range(3):
+            out["halving"].append(run_halving(h, q, Rng(seed, (c,))))
+            for eps in (0.5, 0.25, 0.1):
+                out["retry"].append(run_retry(h, q, eps, Rng(seed, (c,))))
+            for eps in (0.5, 0.25, 0.125):
+                out["restart"].append(run_restart(h, q, eps, Rng(seed, (c,))))
+    return out
+
+
+def test_suite_q_traces_are_byte_identical():
+    traces = _suite_q_traces()
+    digests = {
+        name: hashlib.sha256(
+            "".join(trace_to_json(tr) + trace_rounds_to_csv(tr) for tr in trs).encode()
+        ).hexdigest()
+        for name, trs in traces.items()
+    }
+    assert digests == SUITE_Q_DIGESTS
+    # The grid reaches the branches it is meant to pin: retry's no-op tail
+    # after a round-1 collapse, and first rounds on the 400-vertex ground.
+    assert any(
+        tr.found and len(tr.rounds) > 1 and tr.rounds[-1].threshold is None
+        for tr in traces["retry"]
+    )
+    assert any(tr.ground_size == 400 and tr.found for tr in traces["halving"])
